@@ -17,6 +17,7 @@ import sys
 
 from . import flows, sparsity, spanning, suites
 from .core import (
+    _vertex_ids,
     as_graph,
     parse_digraph,
     parse_hypergraph,
@@ -28,47 +29,30 @@ from .encoding import (
     serialize_gmap,
     serialize_set_function,
 )
-from .errors import ParseError, SparseHGError
-
-
-class _Abort(Exception):
-    """Early exit with a fully formatted report."""
-
-    def __init__(self, exit_code: int, lines):
-        super().__init__(lines[0] if lines else "")
-        self.exit_code = exit_code
-        self.lines = lines
+from .errors import InvalidFlow, NotKSparse, ParseError, SparseHGError, UndeclaredVertex
 
 
 def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise _Abort(2, ["ERROR IO", f"detail {exc}"]) from None
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
 
 
-def _load_hypergraph(path: str):
-    return parse_hypergraph(_read(path))
+def _load_hypergraph(args, path: str):
+    """Parse a hypergraph file; its labels name the vertices of a witness."""
+    h = parse_hypergraph(_read(path))
+    args.labels = h.vertex_labels
+    return h
 
 
-def _load_graph(path: str):
-    return as_graph(parse_hypergraph(_read(path)))
-
-
-def _witness_line(labels, witness) -> str:
-    return "witness " + " ".join(labels[v] for v in witness)
-
-
-def _not_sparse(code: str, labels, witness) -> _Abort:
-    return _Abort(1, [f"ERROR {code}", _witness_line(labels, witness)])
+def _load_graph(args, path: str):
+    return as_graph(_load_hypergraph(args, path))
 
 
 # --- verb handlers ----------------------------------------------------------
 
 
 def _cmd_sparsity_check(args) -> list[str]:
-    h = _load_hypergraph(args.hypergraph)
+    h = _load_hypergraph(args, args.hypergraph)
     if args.oracle:
         report = sparsity.is_k_sparse_bruteforce(h, args.k, cap=args.cap)
         method = "bruteforce"
@@ -76,7 +60,7 @@ def _cmd_sparsity_check(args) -> list[str]:
         report = sparsity.is_k_sparse(h, args.k)
         method = "flow"
     if not report.is_sparse:
-        raise _not_sparse("NotKSparse", h.vertex_labels, report.witness)
+        raise NotKSparse(f"not {args.k}-sparse", witness=report.witness)
     return [f"ok {args.k}-sparse method={method}"]
 
 
@@ -85,36 +69,21 @@ def _orientation_lines(f) -> list[str]:
 
 
 def _cmd_orient_bounded(args) -> list[str]:
-    h = _load_hypergraph(args.hypergraph)
-    try:
-        f = sparsity.bounded_orientation(h, args.k)
-    except SparseHGError as exc:
-        if getattr(exc, "witness", None) is not None:
-            raise _not_sparse(exc.code, h.vertex_labels, exc.witness)
-        raise
+    h = _load_hypergraph(args, args.hypergraph)
+    f = sparsity.bounded_orientation(h, args.k)
     return _orientation_lines(f)
 
 
 def _cmd_orient_antisym(args) -> list[str]:
-    h = _load_hypergraph(args.hypergraph)
-    try:
-        f = sparsity.antisymmetric_orientation(h, args.k)
-    except SparseHGError as exc:
-        if getattr(exc, "witness", None) is not None:
-            raise _not_sparse(exc.code, h.vertex_labels, exc.witness)
-        raise
+    h = _load_hypergraph(args, args.hypergraph)
+    f = sparsity.antisymmetric_orientation(h, args.k)
     return _orientation_lines(f)
 
 
 def _cmd_orient_hom(args) -> list[str]:
-    h = _load_hypergraph(args.hypergraph)
+    h = _load_hypergraph(args, args.hypergraph)
     target = parse_digraph(_read(args.target))
-    try:
-        f = sparsity.antisymmetric_orientation(h, args.k)
-    except SparseHGError as exc:
-        if getattr(exc, "witness", None) is not None:
-            raise _not_sparse(exc.code, h.vertex_labels, exc.witness)
-        raise
+    f = sparsity.antisymmetric_orientation(h, args.k)
     quotient = sparsity.directed_quotient(f)
     mapping = sparsity.find_homomorphism(quotient, target)
     return [
@@ -124,8 +93,8 @@ def _cmd_orient_hom(args) -> list[str]:
 
 
 def _cmd_tree_dfst(args) -> list[str]:
-    h = _load_hypergraph(args.hypergraph)
-    root = _resolve_vertex(h, args.root) if args.root is not None else 0
+    h = _load_hypergraph(args, args.hypergraph)
+    root = _root(h, args)
     tree = spanning.build_dfst(h, root)
     lines = []
     for v in tree.nodes:
@@ -146,8 +115,8 @@ def _cmd_tree_dfst(args) -> list[str]:
 
 
 def _cmd_tree_priority(args) -> list[str]:
-    h = _load_hypergraph(args.hypergraph)
-    root = _resolve_vertex(h, args.root) if args.root is not None else 0
+    h = _load_hypergraph(args, args.hypergraph)
+    root = _root(h, args)
     targets = [_resolve_edge(h, label) for label in args.leaves.split(",")]
     tree = spanning.build_priority_tree(h, root, targets, m=args.m)
     lines = []
@@ -165,7 +134,7 @@ def _cmd_tree_priority(args) -> list[str]:
 
 
 def _cmd_order_edges(args) -> list[str]:
-    h = _load_hypergraph(args.hypergraph)
+    h = _load_hypergraph(args, args.hypergraph)
     ordering = spanning.edge_ordering(h)
     return [
         f"{h.edge_labels[ei]} "
@@ -185,29 +154,19 @@ def _cmd_order_neighbourhoods(args) -> list[str]:
 
 
 def _cmd_flow_delta(args) -> list[str]:
-    g = _load_graph(args.graph)
+    g = _load_graph(args, args.graph)
     d = flows.parse_distribution(_read(args.dist), g)
-    try:
-        f = flows.compute_delta_flow(g, d, args.k)
-    except SparseHGError as exc:
-        if getattr(exc, "witness", None) is not None:
-            raise _not_sparse(exc.code, g.vertex_labels, exc.witness)
-        raise
+    f = flows.compute_delta_flow(g, d, args.k)
     return flows.serialize_flow(f).splitlines()
 
 
 def _cmd_flow_paths(args) -> list[str]:
-    g = _load_graph(args.graph)
+    g = _load_graph(args, args.graph)
     d = flows.parse_distribution(_read(args.dist), g)
     if args.flow is not None:
         f = flows.parse_flow(_read(args.flow), g)
     else:
-        try:
-            f = flows.compute_delta_flow(g, d, args.k)
-        except SparseHGError as exc:
-            if getattr(exc, "witness", None) is not None:
-                raise _not_sparse(exc.code, g.vertex_labels, exc.witness)
-            raise
+        f = flows.compute_delta_flow(g, d, args.k)
     acyclic = flows.cancel_cycles(f)
     family = flows.decompose_flow_paths(g, acyclic, d)
     return [
@@ -217,13 +176,11 @@ def _cmd_flow_paths(args) -> list[str]:
 
 
 def _cmd_flow_check(args) -> list[str]:
-    g = _load_graph(args.graph)
+    g = _load_graph(args, args.graph)
     d = flows.parse_distribution(_read(args.dist), g)
     f = flows.parse_flow(_read(args.flow), g)
     if not flows.check_delta_flow(f, d):
-        raise _Abort(
-            1, ["ERROR InvalidFlow", "detail defect does not match delta - 1"]
-        )
+        raise InvalidFlow("defect does not match delta - 1")
     edge_bound, vertex_bound = flows.bounds(f)
     return [
         "ok delta-flow",
@@ -233,14 +190,9 @@ def _cmd_flow_check(args) -> list[str]:
 
 
 def _cmd_encode_refine(args) -> list[str]:
-    g = _load_graph(args.graph)
+    g = _load_graph(args, args.graph)
     h = parse_set_function(_read(args.sets), g)
-    try:
-        h0, gmap = refine_to_injective(g, h, args.k)
-    except SparseHGError as exc:
-        if getattr(exc, "witness", None) is not None:
-            raise _not_sparse(exc.code, g.vertex_labels, exc.witness)
-        raise
+    h0, gmap = refine_to_injective(g, h, args.k)
     lines = ["# h0"]
     lines.extend(serialize_set_function(h0, g).splitlines())
     lines.append("# gmap")
@@ -253,18 +205,15 @@ def _cmd_suite(args) -> list[str]:
     return suites.run_suite(args.name, args.seed, args.n, sizes)
 
 
-def _resolve_vertex(h, label: str) -> int:
-    try:
-        return h.vertex_id(label)
-    except KeyError:
-        raise _Abort(2, ["ERROR UndeclaredVertex", f"detail unknown vertex {label!r}"]) from None
+def _root(h, args) -> int:
+    return 0 if args.root is None else _vertex_ids(h.vertex_id, [args.root])[0]
 
 
 def _resolve_edge(h, label: str) -> int:
     try:
         return h.edge_id(label.strip())
     except KeyError:
-        raise _Abort(2, ["ERROR UndeclaredVertex", f"detail unknown edge {label!r}"]) from None
+        raise UndeclaredVertex(f"unknown edge {label!r}") from None
 
 
 # --- parser -----------------------------------------------------------------
@@ -392,15 +341,18 @@ def run(argv, out=None) -> int:
     try:
         lines = args.handler(args)
         code = 0
-    except _Abort as abort:
-        lines = abort.lines
-        code = abort.exit_code
-    except ParseError as exc:
-        lines = [f"ERROR {exc.code}", f"detail {exc}"]
-        code = 2
     except SparseHGError as exc:
-        lines = [f"ERROR {exc.code}", f"detail {exc}"]
-        code = 1
+        witness = getattr(exc, "witness", None)
+        if witness is None:
+            lines = [f"ERROR {exc.code}", f"detail {exc}"]
+        else:
+            names = " ".join(args.labels[v] for v in witness)
+            lines = [f"ERROR {exc.code}", f"witness {names}"]
+        code = 2 if isinstance(exc, ParseError) else 1
+    except OSError as exc:
+        # unreadable input file
+        lines = ["ERROR IO", f"detail {exc}"]
+        code = 2
     except ValueError as exc:
         # bad user-supplied numbers (k <= 0, malformed counts)
         lines = ["ERROR Usage", f"detail {exc}"]

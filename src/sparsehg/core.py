@@ -242,49 +242,63 @@ def directed_quotient(f: Orientation) -> DirectedGraph:
 
 
 def _content_lines(text: str):
+    """(line number, line) for every line left nonblank once its ``#``
+    comment and surrounding whitespace are stripped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield lineno, line.split()
+            yield lineno, line
 
 
-def parse_hypergraph(text: str) -> Hypergraph:
-    vertex_labels: list[str] = []
-    vertex_ids: dict[str, int] = {}
-    edge_labels: list[str] = []
-    edge_label_set: set[str] = set()
-    edges: list[tuple[int, ...]] = []
-    for lineno, tokens in _content_lines(text):
-        kind = tokens[0]
-        if kind == "v":
+def _declarations(text: str, vertex_ids: dict, kind: str):
+    """(line number, tokens) of every ``kind`` line.
+
+    ``v <label>`` lines are read into ``vertex_ids`` (label -> id, in
+    declaration order) as they come; any other declaration is an error."""
+    for lineno, line in _content_lines(text):
+        tokens = line.split()
+        if tokens[0] == kind:
+            yield lineno, tokens
+        elif tokens[0] == "v":
             if len(tokens) != 2:
                 raise ParseError("expected: v <label>", line=lineno)
             label = _check_label(tokens[1], lineno)
             if label in vertex_ids:
                 raise DuplicateLabel(f"vertex {label!r} declared twice", line=lineno)
-            vertex_ids[label] = len(vertex_labels)
-            vertex_labels.append(label)
-        elif kind == "e":
-            if len(tokens) < 3:
-                raise ParseError("expected: e <label> <v1> ...", line=lineno)
-            label = _check_label(tokens[1], lineno)
-            if label in edge_label_set:
-                raise DuplicateLabel(f"edge {label!r} declared twice", line=lineno)
-            members = []
-            for name in tokens[2:]:
-                if name not in vertex_ids:
-                    raise UndeclaredVertex(f"unknown vertex {name!r}", line=lineno)
-                members.append(vertex_ids[name])
-            if len(set(members)) != len(members):
-                raise DuplicateVertexInEdge(
-                    f"edge {label!r} repeats a vertex", line=lineno
-                )
-            edge_label_set.add(label)
-            edge_labels.append(label)
-            edges.append(tuple(members))
+            vertex_ids[label] = len(vertex_ids)
         else:
-            raise ParseError(f"unknown declaration {kind!r}", line=lineno)
-    return Hypergraph(vertex_labels, edges, edge_labels)
+            raise ParseError(f"unknown declaration {tokens[0]!r}", line=lineno)
+
+
+def _vertex_ids(lookup, labels, line: int | None = None) -> list[int]:
+    """``lookup`` of every label; the first it does not know is
+    UndeclaredVertex."""
+    try:
+        return list(map(lookup, labels))
+    except KeyError as exc:
+        raise UndeclaredVertex(f"unknown vertex {exc.args[0]!r}", line=line) from None
+
+
+def parse_hypergraph(text: str) -> Hypergraph:
+    vertex_ids: dict[str, int] = {}
+    edge_labels: list[str] = []
+    edge_label_set: set[str] = set()
+    edges: list[tuple[int, ...]] = []
+    for lineno, tokens in _declarations(text, vertex_ids, "e"):
+        if len(tokens) < 3:
+            raise ParseError("expected: e <label> <v1> ...", line=lineno)
+        label = _check_label(tokens[1], lineno)
+        if label in edge_label_set:
+            raise DuplicateLabel(f"edge {label!r} declared twice", line=lineno)
+        members = _vertex_ids(vertex_ids.__getitem__, tokens[2:], lineno)
+        if len(set(members)) != len(members):
+            raise DuplicateVertexInEdge(
+                f"edge {label!r} repeats a vertex", line=lineno
+            )
+        edge_label_set.add(label)
+        edge_labels.append(label)
+        edges.append(tuple(members))
+    return Hypergraph(list(vertex_ids), edges, edge_labels)
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:
@@ -297,29 +311,14 @@ def serialize_hypergraph(h: Hypergraph) -> str:
 
 def parse_digraph(text: str) -> DirectedGraph:
     """Directed graph format: ``v <label>`` plus ``a <from> <to>`` lines."""
-    vertex_labels: list[str] = []
     vertex_ids: dict[str, int] = {}
     arcs: set[tuple[int, int]] = set()
-    for lineno, tokens in _content_lines(text):
-        kind = tokens[0]
-        if kind == "v":
-            if len(tokens) != 2:
-                raise ParseError("expected: v <label>", line=lineno)
-            label = _check_label(tokens[1], lineno)
-            if label in vertex_ids:
-                raise DuplicateLabel(f"vertex {label!r} declared twice", line=lineno)
-            vertex_ids[label] = len(vertex_labels)
-            vertex_labels.append(label)
-        elif kind == "a":
-            if len(tokens) != 3:
-                raise ParseError("expected: a <from> <to>", line=lineno)
-            for name in tokens[1:]:
-                if name not in vertex_ids:
-                    raise UndeclaredVertex(f"unknown vertex {name!r}", line=lineno)
-            arcs.add((vertex_ids[tokens[1]], vertex_ids[tokens[2]]))
-        else:
-            raise ParseError(f"unknown declaration {kind!r}", line=lineno)
-    return DirectedGraph(vertex_labels, arcs)
+    for lineno, tokens in _declarations(text, vertex_ids, "a"):
+        if len(tokens) != 3:
+            raise ParseError("expected: a <from> <to>", line=lineno)
+        a, b = _vertex_ids(vertex_ids.__getitem__, tokens[1:], lineno)
+        arcs.add((a, b))
+    return DirectedGraph(list(vertex_ids), arcs)
 
 
 def serialize_digraph(g: DirectedGraph) -> str:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .core import DirectedGraph, UndirectedGraph, connected_components
-from .errors import ParseError, UndeclaredVertex
+from .core import DirectedGraph, UndirectedGraph, _content_lines, _vertex_ids, connected_components
+from .errors import ParseError
 from .flows import compute_delta_flow, function_from_flow, induced_distribution
 from .spanning import neighbourhood_ordering
 
@@ -182,41 +182,21 @@ def verify_encoding(h: FiniteSetFunction, h0: FiniteSetFunction, gmap) -> bool:
 # --- file formats -----------------------------------------------------------
 
 
-def _strip_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
 def parse_set_function(text: str, g: UndirectedGraph) -> FiniteSetFunction:
     """Lines `<v1>,<v2>,... -> <vertex-label>`; empty left side is the
     empty set."""
     entries = []
-    for lineno, line in _strip_lines(text):
+    for lineno, line in _content_lines(text):
         if "->" not in line:
             raise ParseError("expected `<members> -> <vertex>`", line=lineno)
         left, _, right = line.partition("->")
-        members = []
         left = left.strip()
-        if left:
-            for token in left.split(","):
-                label = token.strip()
-                try:
-                    members.append(g.vertex_id(label))
-                except KeyError:
-                    raise UndeclaredVertex(
-                        f"unknown vertex {label!r}", line=lineno
-                    ) from None
+        labels = [token.strip() for token in left.split(",")] if left else []
+        members = _vertex_ids(g.vertex_id, labels, lineno)
         image_label = right.strip()
         if not image_label or len(image_label.split()) != 1:
             raise ParseError("expected a single image vertex", line=lineno)
-        try:
-            image = g.vertex_id(image_label)
-        except KeyError:
-            raise UndeclaredVertex(
-                f"unknown vertex {image_label!r}", line=lineno
-            ) from None
+        (image,) = _vertex_ids(g.vertex_id, [image_label], lineno)
         if len(set(members)) != len(members):
             raise ParseError("set member repeated", line=lineno)
         entries.append((frozenset(members), image))

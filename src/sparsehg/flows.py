@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UndirectedGraph, _content_lines
+from .core import UndirectedGraph, _content_lines, _vertex_ids
 from .errors import (
-    CapExceeded,
     DuplicateLabel,
     InvalidFlow,
     NotSparseDistribution,
@@ -24,6 +23,7 @@ from .errors import (
     UndeclaredVertex,
 )
 from .maxflow import FlowNetwork
+from .sparsity import _first_violating_subset
 
 
 def border(g: UndirectedGraph, z) -> list[int]:
@@ -128,33 +128,30 @@ def is_k_sparse_distribution_bruteforce(
     mask (in numeric order) becomes the witness.
     """
     n = g.num_vertices
-    if n > cap:
-        raise CapExceeded(f"brute force capped at {cap} vertices, got {n}")
-    total = 1 << n
-    sums = np.zeros(1, dtype=np.int64)
-    pop = np.zeros(1, dtype=np.int64)
-    for v in range(n):
-        sums = np.concatenate([sums, sums + d[v]])
-        pop = np.concatenate([pop, pop + 1])
-    masks = np.arange(total, dtype=np.int64)
-    border_count = np.zeros(total, dtype=np.int64)
-    for u, v in g.edges:
-        border_count += ((masks >> u) ^ (masks >> v)) & 1
-    violating = sums > pop + k * border_count
-    if not violating.any():
-        return True, None
-    mask = int(np.nonzero(violating)[0][0])
-    witness = [v for v in range(n) if mask >> v & 1]
-    return False, witness
+
+    def violating(popcount):
+        sums = np.zeros(1, dtype=np.int64)
+        for v in range(n):
+            sums = np.concatenate([sums, sums + d[v]])
+        masks = np.arange(1 << n, dtype=np.int64)
+        border_count = np.zeros(1 << n, dtype=np.int64)
+        for u, v in g.edges:
+            border_count += ((masks >> u) ^ (masks >> v)) & 1
+        return sums > popcount + k * border_count
+
+    witness = _first_violating_subset(n, cap, violating)
+    return witness is None, witness
 
 
-def _delta_network(g: UndirectedGraph, d, k: int):
-    """Auxiliary network: source 0, sink 1, vertex v at node 2+v.
+def _solve_delta_network(g: UndirectedGraph, d, k: int):
+    """Build and solve the auxiliary network: source 0, sink 1, vertex v
+    at node 2+v.
 
     Arcs are inserted in increasing id order so augmentation is
-    deterministic.  Returns the network, the per-edge arc indices for
-    both directions, and the sparse target value (total source
-    capacity)."""
+    deterministic.  Returns the solved network, the per-edge arc indices
+    for both directions, and the witness: None when the maximum flow
+    saturates every source arc, otherwise the vertices on the source
+    side of the minimum cut, a set that violates sparsity."""
     net = FlowNetwork(2 + g.num_vertices)
     target = 0
     for v in g.vertices():
@@ -168,34 +165,34 @@ def _delta_network(g: UndirectedGraph, d, k: int):
     for u, v in g.edges:
         forward.append(net.add_edge(2 + u, 2 + v, k))
         backward.append(net.add_edge(2 + v, 2 + u, k))
-    return net, forward, backward, target
-
-
-def is_k_sparse_distribution(g: UndirectedGraph, d, k: int):
-    """Flow-based sparsity check with a violating set from the min cut."""
-    net, _, _, target = _delta_network(g, d, k)
-    value = net.max_flow(0, 1)
-    if value == target:
-        return True, None
+    if net.max_flow(0, 1) == target:
+        return net, forward, backward, None
     side = net.source_side(0)
     witness = sorted(v for v in g.vertices() if 2 + v in side)
     assert witness
     assert distribution_sum(d, witness) > len(witness) + k * len(
         border(g, witness)
     )
-    return False, witness
+    return net, forward, backward, witness
+
+
+def is_k_sparse_distribution(g: UndirectedGraph, d, k: int):
+    """Flow-based sparsity check with a violating set from the min cut;
+    one max-flow solve of the delta network."""
+    witness = _solve_delta_network(g, d, k)[3]
+    return witness is None, witness
 
 
 def compute_delta_flow(g: UndirectedGraph, d, k: int) -> Flow:
-    """Maximum-flow construction of a delta-flow, edge-bounded by k."""
-    sparse, witness = is_k_sparse_distribution(g, d, k)
-    if not sparse:
+    """Maximum-flow construction of a delta-flow, edge-bounded by k.
+
+    The sparsity decision and the flow come from one max-flow solve of
+    the delta network."""
+    net, forward, backward, witness = _solve_delta_network(g, d, k)
+    if witness is not None:
         raise NotSparseDistribution(
             f"distribution is not {k}-sparse", witness=witness
         )
-    net, forward, backward, target = _delta_network(g, d, k)
-    value = net.max_flow(0, 1)
-    assert value == target
     values = {}
     for ei, (u, v) in enumerate(g.edges):
         values[(u, v)] = net.flow_on(forward[ei]) - net.flow_on(backward[ei])
@@ -371,16 +368,12 @@ def parse_distribution(text: str, g: UndirectedGraph) -> list[int]:
     """Lines `<vertex-label> <count>`; omitted vertices default to 0."""
     d = [0] * g.num_vertices
     seen = set()
-    for lineno, parts in _content_lines(text):
+    for lineno, line in _content_lines(text):
+        parts = line.split()
         if len(parts) != 2:
             raise ParseError("expected `<vertex> <count>`", line=lineno)
         label, count_text = parts
-        try:
-            v = g.vertex_id(label)
-        except KeyError:
-            raise UndeclaredVertex(
-                f"unknown vertex {label!r}", line=lineno
-            ) from None
+        (v,) = _vertex_ids(g.vertex_id, [label], lineno)
         if v in seen:
             raise DuplicateLabel(f"vertex {label!r} repeated", line=lineno)
         seen.add(v)
@@ -407,15 +400,11 @@ def serialize_distribution(d, g: UndirectedGraph) -> str:
 def parse_flow(text: str, g: UndirectedGraph) -> Flow:
     """Lines `<u> <v> <value>`; pairs must be edges, given once each."""
     values: dict[tuple[int, int], int] = {}
-    for lineno, parts in _content_lines(text):
+    for lineno, line in _content_lines(text):
+        parts = line.split()
         if len(parts) != 3:
             raise ParseError("expected `<u> <v> <value>`", line=lineno)
-        try:
-            u, v = g.vertex_id(parts[0]), g.vertex_id(parts[1])
-        except KeyError as exc:
-            raise UndeclaredVertex(
-                f"unknown vertex {exc.args[0]!r}", line=lineno
-            ) from None
+        u, v = _vertex_ids(g.vertex_id, parts[:2], lineno)
         if u == v or g.edge_between(u, v) is None:
             raise ParseError(
                 f"{parts[0]},{parts[1]} is not an edge", line=lineno

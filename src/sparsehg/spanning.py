@@ -572,8 +572,7 @@ class DepthFirstSpanningTree:
 
     ``nodes`` is the construction order (a linear extension of the tree
     order); ``attach_edges[v]`` is F_v, ``aux_sets[v]`` is A_v, and
-    ``vertex_types[v]`` is ``("root", 0)``, ``("succ", l)`` or
-    ``("limit", l)``.
+    ``vertex_types[v]`` is ``("root", 0)`` or ``("succ", l)``.
     """
 
     hypergraph: Hypergraph
@@ -704,14 +703,6 @@ def build_dfst(h: Hypergraph, root: int) -> DepthFirstSpanningTree:
     )
 
 
-def auxiliary_nodes(t: DepthFirstSpanningTree, v: int) -> frozenset:
-    """A_v: the vertex plus its attach edges' vertices not claimed by a
-    strict ancestor."""
-    if v not in t.aux_sets:
-        raise NotATreeNode(f"{v} is not a tree node")
-    return t.aux_sets[v]
-
-
 def _recompute_aux(t: DepthFirstSpanningTree) -> dict:
     aux: dict[int, frozenset] = {}
     for v in t.nodes:
@@ -799,9 +790,6 @@ def validate_dfst(h: Hypergraph, t: DepthFirstSpanningTree) -> list[str]:
             beta2 = max(b2, key=t.depth) if b2 and t.is_chain(b2) else None
             if beta2 != t.parent[v]:
                 bad.append(f"attach edge of {v} does not point at its parent")
-        elif kind == "limit":
-            # a finite tree cannot contain limits of increasing chains
-            bad.append(f"limit-type node {v} in a finite tree")
         else:
             bad.append(f"unknown type {kind!r} on {v}")
     return bad
@@ -812,8 +800,6 @@ def aux_preorder(t: DepthFirstSpanningTree) -> VertexOrder:
     ancestor of y's; vertices owned by one node are equivalent."""
     owner: dict[int, int] = {}
     for v in t.nodes:
-        if t.vertex_types[v][0] == "limit":
-            raise MalformedTree("limit nodes have no finite member order")
         for w in t.aux_sets[v]:
             owner[w] = v
 
@@ -830,8 +816,6 @@ def aux_order(t: DepthFirstSpanningTree) -> VertexOrder:
     owner: dict[int, int] = {}
     slot: dict[int, int] = {}
     for v in t.nodes:
-        if t.vertex_types[v][0] == "limit":
-            raise MalformedTree("limit nodes have no finite member order")
         for i, w in enumerate(sorted(t.aux_sets[v])):
             owner[w] = v
             slot[w] = i

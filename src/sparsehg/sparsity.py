@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DirectedGraph, Hypergraph, Orientation, UndirectedGraph, preimage_counts
-from .core import directed_quotient as _quotient
+from .core import directed_quotient
 from .errors import (
     CapExceeded,
     MalformedPartition,
@@ -41,6 +41,34 @@ def _edges_inside(h: Hypergraph, vertex_set) -> int:
     return sum(1 for members in h.edges if all(v in inside for v in members))
 
 
+# Largest vertex count the brute-force oracles accept, whatever their
+# cap: one 2^n-entry int64 table is then at most 256 MiB.
+ORACLE_MAX_VERTICES = 25
+
+
+def _first_violating_subset(n: int, cap: int, violating) -> list[int] | None:
+    """Shared core of the brute-force oracles: the first vertex subset,
+    in increasing bitmask order (vertex i = bit i), that ``violating``
+    flags, or None.
+
+    ``violating(popcount)`` receives the size of every one of the 2^n
+    subsets and returns a boolean array over them.  More than
+    min(cap, ORACLE_MAX_VERTICES) vertices are refused with CapExceeded
+    before any table is allocated.
+    """
+    limit = min(cap, ORACLE_MAX_VERTICES)
+    if n > limit:
+        raise CapExceeded(f"{n} vertices exceeds the brute-force cap {limit}")
+    popcount = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        popcount = np.concatenate([popcount, popcount + 1])
+    bad = np.nonzero(violating(popcount))[0]
+    if bad.size == 0:
+        return None
+    mask = int(bad[0])
+    return [v for v in range(n) if mask >> v & 1]
+
+
 def is_k_sparse_bruteforce(h: Hypergraph, k: int, cap: int = 20) -> SparsityReport:
     """Exhaustive check of |E|_X| <= k*|X| over all 2^n vertex subsets.
 
@@ -51,27 +79,21 @@ def is_k_sparse_bruteforce(h: Hypergraph, k: int, cap: int = 20) -> SparsityRepo
     """
     _check_k(k)
     n = h.num_vertices
-    if n > cap:
-        raise CapExceeded(f"{n} vertices exceeds the brute-force cap {cap}")
-    size = 1 << n
-    inside = np.zeros(size, dtype=np.int64)
-    for members in h.edges:
-        mask = 0
-        for v in members:
-            mask |= 1 << v
-        inside[mask] += 1
-    for i in range(n):
-        s = inside.reshape(-1, 2, 1 << i)
-        s[:, 1, :] += s[:, 0, :]
-    popcount = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        popcount = np.concatenate([popcount, popcount + 1])
-    bad = np.nonzero(inside > k * popcount)[0]
-    if bad.size == 0:
-        return SparsityReport(True, k, None)
-    mask = int(bad[0])
-    witness = [v for v in range(n) if mask >> v & 1]
-    return SparsityReport(False, k, witness)
+
+    def violating(popcount):
+        inside = np.zeros(1 << n, dtype=np.int64)
+        for members in h.edges:
+            mask = 0
+            for v in members:
+                mask |= 1 << v
+            inside[mask] += 1
+        for i in range(n):
+            s = inside.reshape(-1, 2, 1 << i)
+            s[:, 1, :] += s[:, 0, :]
+        return inside > k * popcount
+
+    witness = _first_violating_subset(n, cap, violating)
+    return SparsityReport(witness is None, k, witness)
 
 
 def is_k_sparse(h: Hypergraph, k: int) -> SparsityReport:
@@ -200,12 +222,6 @@ def _reroute_chain(h, assignment, closure, a, b):
         cursor = parent[cursor]
     chain.reverse()
     return chain
-
-
-def directed_quotient(f: Orientation) -> DirectedGraph:
-    """Arcs a -> b for distinct a, b whenever some edge contains a and is
-    oriented to b."""
-    return _quotient(f)
 
 
 def _bad_vertices(h: Hypergraph, assignment) -> list[int]:

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from sparsehg.cli import run
+from sparsehg.maxflow import FlowNetwork
 
 
 TRIANGLE = "v a\nv b\nv c\ne ab a b\ne bc b c\ne ac a c\n"
@@ -69,6 +70,16 @@ def test_malformed_input(files):
     assert code == 2
     assert text.startswith("ERROR DuplicateLabel\n")
     assert "line 2" in text
+
+
+def test_oracle_cap_has_a_ceiling(files):
+    # 40 vertices would need 2^40-entry tables; refused before any work
+    text = "".join(f"v v{i}\n" for i in range(40))
+    code, report = cli(
+        "sparsity", "check", files("big.hg", text), "--k", "1", "--oracle", "--cap", "40"
+    )
+    assert code == 1
+    assert report == "ERROR CapExceeded\ndetail 40 vertices exceeds the brute-force cap 25\n"
 
 
 def test_bad_k(files):
@@ -319,6 +330,32 @@ def test_flow_check_invalid(files):
     )
     assert code == 1
     assert text.startswith("ERROR InvalidFlow\n")
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code",
+    [
+        (("flow", "delta", "GRAPH", "--k", "1", "--dist", "DIST"), 0),
+        (("flow", "delta", "GRAPH", "--k", "1", "--dist", "BAD"), 1),
+        (("encode", "refine", "GRAPH", "--k", "1", "--sets", "SETS"), 0),
+    ],
+)
+def test_one_max_flow_per_decision(files, monkeypatch, argv, exit_code):
+    # the sparsity decision and the flow come from the same solve
+    calls = []
+    solve = FlowNetwork.max_flow
+    monkeypatch.setattr(
+        FlowNetwork, "max_flow", lambda net, s, t: calls.append(1) or solve(net, s, t)
+    )
+    paths = {
+        "GRAPH": files("p.hg", PATH4),
+        "DIST": files("d.txt", "a 2\nc 1\n"),
+        "BAD": files("b.txt", "a 3\nb 3\n"),
+        "SETS": files("s.txt", "a -> a\na,b -> a\n"),
+    }
+    code, _ = cli(*(paths.get(arg, arg) for arg in argv))
+    assert code == exit_code
+    assert len(calls) == 1
 
 
 # --- encodings ---------------------------------------------------------------------------

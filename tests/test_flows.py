@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparsehg import flows, sparsity
 from sparsehg.core import UndirectedGraph
 from sparsehg.errors import (
     CapExceeded,
@@ -32,6 +33,7 @@ from sparsehg.flows import (
     serialize_flow,
     validate_path_family,
 )
+from sparsehg.sparsity import ORACLE_MAX_VERTICES
 from sparsehg.generators import (
     random_circulation,
     random_connected_graph,
@@ -155,6 +157,16 @@ def test_bruteforce_cap():
         is_k_sparse_distribution_bruteforce(g, [0] * n, 1)
     ok, witness = is_k_sparse_distribution_bruteforce(g, [0] * n, 1, cap=25)
     assert ok and witness is None
+
+
+def test_bruteforce_ceiling_ignores_cap(monkeypatch):
+    # refused before any table exists: numpy is not even reachable
+    monkeypatch.setattr(sparsity, "np", None)
+    monkeypatch.setattr(flows, "np", None)
+    n = ORACLE_MAX_VERTICES + 1
+    g = UndirectedGraph([f"v{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+    with pytest.raises(CapExceeded, match=f"exceeds the brute-force cap {ORACLE_MAX_VERTICES}"):
+        is_k_sparse_distribution_bruteforce(g, [0] * n, 1, cap=10**6)
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -40,7 +40,7 @@ def _report(argv: list[str]) -> str:
     return f"exit {code}\n{buf.getvalue()}"
 
 
-@pytest.mark.parametrize("name,argv", _cases(), ids=[c[0] for c in _cases()])
+@pytest.mark.parametrize("name,argv", [pytest.param(*c, id=c[0]) for c in _cases()])
 def test_golden(name, argv, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     expected = (GOLDEN / "expected" / f"{name}.txt").read_bytes().decode("utf-8")

@@ -288,6 +288,15 @@ def test_validate_dfst_detects_corruption():
     assert validate_dfst(h, worse) != []
 
 
+def test_validate_dfst_rejects_limit_node():
+    # build_dfst never makes a limit node; a tampered one is an unknown type
+    h = Hypergraph(list("abcd"), [(0, 1), (1, 2), (2, 3)])
+    t = build_dfst(h, 0)
+    v = t.nodes[1]
+    limit = dataclasses.replace(t, vertex_types={**t.vertex_types, v: ("limit", 0)})
+    assert f"unknown type 'limit' on {v}" in validate_dfst(h, limit)
+
+
 def test_aux_orders():
     h = Hypergraph(["a", "b", "c"], [(0, 1, 2)])
     t = build_dfst(h, 0)

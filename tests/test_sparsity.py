@@ -21,7 +21,9 @@ from sparsehg.generators import (
     random_hypergraph,
     rng_for,
 )
+from sparsehg import sparsity
 from sparsehg.sparsity import (
+    ORACLE_MAX_VERTICES,
     antisymmetric_orientation,
     bounded_orientation,
     check_h_orientation,
@@ -77,6 +79,17 @@ def test_bruteforce_cap():
     with pytest.raises(CapExceeded):
         is_k_sparse_bruteforce(h, 1)
     assert is_k_sparse_bruteforce(h, 1, cap=25).is_sparse
+
+
+def test_bruteforce_ceiling_ignores_cap(monkeypatch):
+    # refused before any table exists: numpy is not even reachable
+    monkeypatch.setattr(sparsity, "np", None)
+    n = ORACLE_MAX_VERTICES + 1
+    h = Hypergraph([f"v{i}" for i in range(n)], [])
+    with pytest.raises(CapExceeded, match=f"exceeds the brute-force cap {ORACLE_MAX_VERTICES}"):
+        is_k_sparse_bruteforce(h, 1, cap=10**6)
+    with pytest.raises(CapExceeded):
+        is_k_sparse_bruteforce(Hypergraph([f"v{i}" for i in range(40)], []), 1, cap=40)
 
 
 def test_k_must_be_positive():
