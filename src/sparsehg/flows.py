@@ -23,7 +23,7 @@ from .errors import (
     UndeclaredVertex,
 )
 from .maxflow import FlowNetwork
-from .sparsity import _first_violating_subset
+from .sparsity import _count_table, _first_violating_subset
 
 
 def border(g: UndirectedGraph, z) -> list[int]:
@@ -127,19 +127,24 @@ def is_k_sparse_distribution_bruteforce(
     Subsets are bitmasks with vertex i on bit i; the first violating
     mask (in numeric order) becomes the witness.
     """
-    n = g.num_vertices
+    n, m = g.num_vertices, len(g.edges)
+    total = sum(d)
 
-    def violating(popcount):
-        sums = np.zeros(1, dtype=np.int64)
+    def excess():
+        # delta(Z) - |Z| - k|B(Z)|, built in place: a Z with a border
+        # never violates once k > delta(V), so clamping k keeps every
+        # verdict and bounds the table
+        kk = min(k, total + 1)
+        table = _count_table(n, (total + n + 1) * (m + 1))
         for v in range(n):
-            sums = np.concatenate([sums, sums + d[v]])
-        masks = np.arange(1 << n, dtype=np.int64)
-        border_count = np.zeros(1 << n, dtype=np.int64)
-        for u, v in g.edges:
-            border_count += ((masks >> u) ^ (masks >> v)) & 1
-        return sums > popcount + k * border_count
+            np.add(table[: 1 << v], d[v] - 1, out=table[1 << v : 2 << v])
+        for u, v in g.edges:  # u < v
+            s = table.reshape(-1, 2, 1 << (v - u - 1), 2, 1 << u)
+            s[:, 1, :, 0, :] -= kk
+            s[:, 0, :, 1, :] -= kk
+        return table
 
-    witness = _first_violating_subset(n, cap, violating)
+    witness = _first_violating_subset(n, cap, excess)
     return witness is None, witness
 
 
@@ -147,11 +152,12 @@ def _solve_delta_network(g: UndirectedGraph, d, k: int):
     """Build and solve the auxiliary network: source 0, sink 1, vertex v
     at node 2+v.
 
-    Arcs are inserted in increasing id order so augmentation is
+    Arcs are inserted in increasing id order, so the flow found is
     deterministic.  Returns the solved network, the per-edge arc indices
     for both directions, and the witness: None when the maximum flow
     saturates every source arc, otherwise the vertices on the source
-    side of the minimum cut, a set that violates sparsity."""
+    side of the least minimum cut, a set that violates sparsity and the
+    same for every maximum flow."""
     net = FlowNetwork(2 + g.num_vertices)
     target = 0
     for v in g.vertices():

@@ -42,87 +42,99 @@ def _edges_inside(h: Hypergraph, vertex_set) -> int:
 
 
 # Largest vertex count the brute-force oracles accept, whatever their
-# cap: one 2^n-entry int64 table is then at most 256 MiB.
+# cap: their int32 count table of 2^n entries is then 128 MiB.
 ORACLE_MAX_VERTICES = 25
 
 
-def _first_violating_subset(n: int, cap: int, violating) -> list[int] | None:
+def _first_violating_subset(n: int, cap: int, excess) -> list[int] | None:
     """Shared core of the brute-force oracles: the first vertex subset,
-    in increasing bitmask order (vertex i = bit i), that ``violating``
-    flags, or None.
+    in increasing bitmask order (vertex i = bit i), whose excess is
+    positive, or None.
 
-    ``violating(popcount)`` receives the size of every one of the 2^n
-    subsets and returns a boolean array over them.  More than
+    ``excess()`` returns an integer table over the 2^n subsets that is
+    positive exactly on the violating ones.  More than
     min(cap, ORACLE_MAX_VERTICES) vertices are refused with CapExceeded
     before any table is allocated.
     """
     limit = min(cap, ORACLE_MAX_VERTICES)
     if n > limit:
         raise CapExceeded(f"{n} vertices exceeds the brute-force cap {limit}")
-    popcount = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        popcount = np.concatenate([popcount, popcount + 1])
-    bad = np.nonzero(violating(popcount))[0]
-    if bad.size == 0:
+    flags = excess() > 0
+    mask = int(np.argmax(flags))
+    if not flags[mask]:
         return None
-    mask = int(bad[0])
     return [v for v in range(n) if mask >> v & 1]
+
+
+def _count_table(n: int, bound: int):
+    """Zeroed table over the 2^n subsets for counts of magnitude below
+    ``bound``: int32 whenever that suffices."""
+    return np.zeros(1 << n, dtype=np.int32 if bound < 2**31 else np.int64)
 
 
 def is_k_sparse_bruteforce(h: Hypergraph, k: int, cap: int = 20) -> SparsityReport:
     """Exhaustive check of |E|_X| <= k*|X| over all 2^n vertex subsets.
 
     Subsets are identified with bitmasks (vertex i = bit i); the witness
-    is the first violating subset in increasing bitmask order.  Edge
-    counts for all subsets come from a subset-sum sweep, so the whole
-    table costs O(2^n * n) vector operations.
-    """
-    _check_k(k)
-    n = h.num_vertices
-
-    def violating(popcount):
-        inside = np.zeros(1 << n, dtype=np.int64)
-        for members in h.edges:
-            mask = 0
-            for v in members:
-                mask |= 1 << v
-            inside[mask] += 1
-        for i in range(n):
-            s = inside.reshape(-1, 2, 1 << i)
-            s[:, 1, :] += s[:, 0, :]
-        return inside > k * popcount
-
-    witness = _first_violating_subset(n, cap, violating)
-    return SparsityReport(witness is None, k, witness)
-
-
-def is_k_sparse(h: Hypergraph, k: int) -> SparsityReport:
-    """Polynomial sparsity decision via a bipartite flow network.
-
-    Source -> edge arcs of capacity 1, edge -> incident vertex arcs of
-    capacity 1, vertex -> sink arcs of capacity k.  The hypergraph is
-    k-sparse iff the maximum flow routes all |E| units.  When it does
-    not, the vertex side of the residual min cut violates sparsity.
+    is the first violating subset in increasing bitmask order.  One
+    table holds +1 at each edge's mask and -k at each singleton; an
+    in-place subset-sum sweep turns it into |E|_X| - k*|X| for every X,
+    in O(2^n * n) vector operations.
     """
     _check_k(k)
     n, m = h.num_vertices, h.num_edges
-    source, sink = 0, 1
-    edge_node = lambda ei: 2 + ei
-    vertex_node = lambda v: 2 + m + v
+
+    def excess():
+        # a nonempty X never violates once k > m, so clamping k keeps
+        # every verdict and bounds the table by (m + 1) * n
+        kk = min(k, m + 1)
+        table = _count_table(n, (m + 1) * (n + 1))
+        for members in h.edges:
+            table[sum(1 << v for v in members)] += 1
+        for v in range(n):
+            table[1 << v] -= kk
+        for i in range(n):
+            s = table.reshape(-1, 2, 1 << i)
+            s[:, 1, :] += s[:, 0, :]
+        return table
+
+    witness = _first_violating_subset(n, cap, excess)
+    return SparsityReport(witness is None, k, witness)
+
+
+def _solve_sparsity_network(h: Hypergraph, k: int):
+    """Build and solve the sparsity network: source 0, sink 1, edge ei at
+    node 2+ei, vertex v at node 2+m+v.
+
+    Source -> edge arcs of capacity 1, edge -> member arcs of capacity
+    1, vertex -> sink arcs of capacity k.  Returns the solved network,
+    the edge -> member arc indices of every edge (in member order), and
+    the witness: None when the maximum flow routes all |E| units,
+    otherwise the vertices on the source side of the least minimum cut,
+    a set that violates sparsity and the same for every maximum flow."""
+    n, m = h.num_vertices, h.num_edges
     net = FlowNetwork(2 + m + n)
-    for ei in range(m):
-        net.add_edge(source, edge_node(ei), 1)
-        for v in h.edges[ei]:
-            net.add_edge(edge_node(ei), vertex_node(v), 1)
+    member_arcs = []
+    for ei, members in enumerate(h.edges):
+        net.add_edge(0, 2 + ei, 1)
+        member_arcs.append([net.add_edge(2 + ei, 2 + m + v, 1) for v in members])
     for v in range(n):
-        net.add_edge(vertex_node(v), sink, k)
-    value = net.max_flow(source, sink)
-    if value == m:
-        return SparsityReport(True, k, None)
-    side = net.source_side(source)
-    witness = sorted(v for v in range(n) if vertex_node(v) in side)
+        net.add_edge(2 + m + v, 1, k)
+    if net.max_flow(0, 1) == m:
+        return net, member_arcs, None
+    side = net.source_side(0)
+    witness = sorted(v for v in range(n) if 2 + m + v in side)
     assert witness and _edges_inside(h, witness) > k * len(witness)
-    return SparsityReport(False, k, witness)
+    return net, member_arcs, witness
+
+
+def is_k_sparse(h: Hypergraph, k: int) -> SparsityReport:
+    """Polynomial sparsity decision: the hypergraph is k-sparse iff the
+    maximum flow of the sparsity network routes all |E| units; when it
+    does not, the vertex side of the residual min cut violates sparsity."""
+    _check_k(k)
+    witness = _solve_sparsity_network(h, k)[2]
+    return SparsityReport(witness is None, k, witness)
 
 
 def orientation_weight(f: Orientation, k: int) -> int:
@@ -132,96 +144,21 @@ def orientation_weight(f: Orientation, k: int) -> int:
 
 
 def bounded_orientation(h: Hypergraph, k: int) -> Orientation:
-    """Orientation with every preimage of size at most k.
-
-    Starts from the least-incident-vertex orientation and repeatedly
-    reroutes an edge chain from an overweight vertex to an underweight
-    one; each reroute lowers the weight by exactly one.
-    """
+    """Orientation with every preimage of size at most k, read off one
+    maximum flow of the sparsity network: each edge goes to the member
+    whose edge -> vertex arc carries the edge's unit, and the vertex ->
+    sink capacity k bounds every preimage."""
     _check_k(k)
-    report = is_k_sparse(h, k)
-    if not report.is_sparse:
-        raise NotKSparse(f"not {k}-sparse", witness=report.witness)
-    assignment = [members[0] for members in h.edges]
-    counts = [0] * h.num_vertices
-    for v in assignment:
-        counts[v] += 1
-    weight = sum(c - k for c in counts if c > k)
-    while weight > 0:
-        a = min(v for v in range(h.num_vertices) if counts[v] > k)
-        closure, span = _preimage_closure(h, assignment, a)
-        b = min((c for c in span if counts[c] < k), default=None)
-        assert b is not None, "closure of an overweight vertex must contain slack"
-        chain = _reroute_chain(h, assignment, closure, a, b)
-        previous = assignment[chain[0]]
-        assignment[chain[0]] = b
-        for ei in chain[1:]:
-            previous, assignment[ei] = assignment[ei], previous
-        counts[a] -= 1
-        counts[b] += 1
-        new_weight = sum(c - k for c in counts if c > k)
-        assert new_weight == weight - 1
-        weight = new_weight
-    return Orientation(h, assignment)
-
-
-def _preimage_closure(h: Hypergraph, assignment, a):
-    """Least edge set F with f^-1(a) inside F and f^-1(c) inside F for
-    every vertex c spanned by F.  Returns (F, union of F's vertices)."""
-    preimages: dict[int, list[int]] = {}
-    for ei, v in enumerate(assignment):
-        preimages.setdefault(v, []).append(ei)
-    closure: set[int] = set()
-    span: set[int] = set()
-    frontier = [a]
-    while frontier:
-        c = frontier.pop()
-        for ei in preimages.get(c, ()):
-            if ei in closure:
-                continue
-            closure.add(ei)
-            for v in h.edges[ei]:
-                if v not in span:
-                    span.add(v)
-                    frontier.append(v)
-    return closure, span
-
-
-def _reroute_chain(h, assignment, closure, a, b):
-    """Shortest edge chain e0..en inside the closure with b in e0,
-    f(e_i) in e_{i+1} and f(en) = a, found by breadth-first search."""
-    members_in = {ei: h.edges[ei] for ei in closure}
-    containing: dict[int, list[int]] = {}
-    for ei in sorted(closure):
-        for v in members_in[ei]:
-            containing.setdefault(v, []).append(ei)
-    start = containing.get(b, [])
-    parent: dict[int, int | None] = {}
-    queue = []
-    for ei in start:
-        if ei not in parent:
-            parent[ei] = None
-            queue.append(ei)
-    head = 0
-    found = None
-    while head < len(queue):
-        ei = queue[head]
-        head += 1
-        if assignment[ei] == a:
-            found = ei
-            break
-        for nxt in containing.get(assignment[ei], ()):
-            if nxt not in parent:
-                parent[nxt] = ei
-                queue.append(nxt)
-    assert found is not None, "closure must contain a chain back to the overweight vertex"
-    chain = []
-    cursor: int | None = found
-    while cursor is not None:
-        chain.append(cursor)
-        cursor = parent[cursor]
-    chain.reverse()
-    return chain
+    net, member_arcs, witness = _solve_sparsity_network(h, k)
+    if witness is not None:
+        raise NotKSparse(f"not {k}-sparse", witness=witness)
+    assignment = [
+        next(v for v, a in zip(members, arcs) if net.flow_on(a))
+        for members, arcs in zip(h.edges, member_arcs)
+    ]
+    f = Orientation(h, assignment)
+    assert max(preimage_counts(f), default=0) <= k
+    return f
 
 
 def _bad_vertices(h: Hypergraph, assignment) -> list[int]:
@@ -320,9 +257,14 @@ def _elimination_orientation(h: Hypergraph) -> list[int]:
     return assignment
 
 
-def find_homomorphism(g: DirectedGraph, target: DirectedGraph) -> list[int]:
+def find_homomorphism(
+    g: DirectedGraph, target: DirectedGraph, budget: int = 10**6
+) -> list[int]:
     """Least arc-preserving map V(g) -> V(target) under (vertex, value)
-    lexicographic order, by backtracking search."""
+    lexicographic order, by backtracking search.
+
+    The search assigns at most ``budget`` (vertex, value) pairs and
+    raises CapExceeded past that."""
     n = g.num_vertices
     if n == 0:
         return []
@@ -349,11 +291,15 @@ def find_homomorphism(g: DirectedGraph, target: DirectedGraph) -> list[int]:
 
     v = 0
     candidate = [0] * n
+    nodes = 0
     while 0 <= v < n:
         val = candidate[v]
         while val < target.num_vertices and not admissible(v, val):
             val += 1
         if val < target.num_vertices:
+            nodes += 1
+            if nodes > budget:
+                raise CapExceeded(f"more than {budget} search nodes")
             image[v] = val
             candidate[v] = val
             v += 1

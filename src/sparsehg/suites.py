@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .core import preimage_counts
 from .encoding import refine_to_injective, verify_encoding
+from .errors import NotKSparse
 from .flows import (
     Flow,
     bounds,
@@ -180,9 +181,10 @@ def _lemmas_cases(seed: int, n: int, sizes):
 
 
 def _orientation_check(h, k):
-    if not is_k_sparse(h, k).is_sparse:
+    try:
+        f = bounded_orientation(h, k)
+    except NotKSparse:
         return True  # nothing to orient
-    f = bounded_orientation(h, k)
     if max(preimage_counts(f), default=0) > k:
         return "bounded orientation exceeds k"
     if h.rank() >= 2:

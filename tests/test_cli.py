@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import io
+from functools import partial
 
 import pytest
 
+from sparsehg import sparsity
 from sparsehg.cli import run
 from sparsehg.maxflow import FlowNetwork
 
@@ -160,6 +162,24 @@ def test_orient_hom(files):
     )
     assert code == 0
     assert text == "a -> y\nb -> x\n"
+
+
+def test_orient_hom_search_budget(files, monkeypatch):
+    # past its node budget the search is refused, not run on
+    monkeypatch.setattr(
+        sparsity, "find_homomorphism", partial(sparsity.find_homomorphism, budget=1)
+    )
+    code, text = cli(
+        "orient",
+        "hom",
+        files("k2.hg", K2),
+        "--k",
+        "1",
+        "--target",
+        files("xy.dg", "v x\nv y\na x y\n"),
+    )
+    assert code == 1
+    assert text == "ERROR CapExceeded\ndetail more than 1 search nodes\n"
 
 
 def test_orient_hom_impossible(files):
@@ -338,10 +358,17 @@ def test_flow_check_invalid(files):
         (("flow", "delta", "GRAPH", "--k", "1", "--dist", "DIST"), 0),
         (("flow", "delta", "GRAPH", "--k", "1", "--dist", "BAD"), 1),
         (("encode", "refine", "GRAPH", "--k", "1", "--sets", "SETS"), 0),
+        (("sparsity", "check", "GRAPH", "--k", "1"), 0),
+        (("sparsity", "check", "TRIPLE", "--k", "1"), 1),
+        (("orient", "bounded", "GRAPH", "--k", "1"), 0),
+        (("orient", "bounded", "TRIPLE", "--k", "1"), 1),
+        (("orient", "antisym", "GRAPH", "--k", "1"), 0),
+        (("orient", "antisym", "TRIPLE", "--k", "1"), 1),
     ],
 )
 def test_one_max_flow_per_decision(files, monkeypatch, argv, exit_code):
-    # the sparsity decision and the flow come from the same solve
+    # the sparsity decision and the flow or orientation come from the
+    # same solve
     calls = []
     solve = FlowNetwork.max_flow
     monkeypatch.setattr(
@@ -352,6 +379,7 @@ def test_one_max_flow_per_decision(files, monkeypatch, argv, exit_code):
         "DIST": files("d.txt", "a 2\nc 1\n"),
         "BAD": files("b.txt", "a 3\nb 3\n"),
         "SETS": files("s.txt", "a -> a\na,b -> a\n"),
+        "TRIPLE": files("t.hg", TRIPLE),
     }
     code, _ = cli(*(paths.get(arg, arg) for arg in argv))
     assert code == exit_code

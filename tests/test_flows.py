@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -157,6 +159,19 @@ def test_bruteforce_cap():
         is_k_sparse_distribution_bruteforce(g, [0] * n, 1)
     ok, witness = is_k_sparse_distribution_bruteforce(g, [0] * n, 1, cap=25)
     assert ok and witness is None
+
+
+def test_bruteforce_table_memory():
+    # one int32 table and its flags: about 5 bytes per subset
+    n = 18
+    g = UndirectedGraph([f"v{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+    tracemalloc.start()
+    try:
+        assert is_k_sparse_distribution_bruteforce(g, [1] * n, 1, cap=n) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << n
 
 
 def test_bruteforce_ceiling_ignores_cap(monkeypatch):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -79,6 +81,19 @@ def test_bruteforce_cap():
     with pytest.raises(CapExceeded):
         is_k_sparse_bruteforce(h, 1)
     assert is_k_sparse_bruteforce(h, 1, cap=25).is_sparse
+
+
+def test_bruteforce_table_memory():
+    # one int32 table and its flags: about 5 bytes per subset
+    n = 18
+    h = Hypergraph([f"v{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+    tracemalloc.start()
+    try:
+        assert is_k_sparse_bruteforce(h, 1, cap=n).is_sparse
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << n
 
 
 def test_bruteforce_ceiling_ignores_cap(monkeypatch):
@@ -177,6 +192,15 @@ def test_find_homomorphism_loop_requires_loop():
     g = DirectedGraph(["u"], [(0, 0)])
     target = DirectedGraph(["x", "y"], [(0, 1), (1, 1)])
     assert find_homomorphism(g, target) == [1]
+
+
+def test_find_homomorphism_budget():
+    # the least map assigns u then v: two search nodes
+    g = DirectedGraph(["u", "v"], [(0, 1)])
+    target = DirectedGraph(["x", "y"], [(0, 1), (1, 0)])
+    assert find_homomorphism(g, target, budget=2) == [0, 1]
+    with pytest.raises(CapExceeded, match="more than 1 search nodes"):
+        find_homomorphism(g, target, budget=1)
 
 
 def test_find_homomorphism_impossible():
