@@ -45,6 +45,9 @@ def _edges_inside(h: Hypergraph, vertex_set) -> int:
 # cap: their int32 count table of 2^n entries is then 128 MiB.
 ORACLE_MAX_VERTICES = 25
 
+# Most (vertex, value) pairs find_homomorphism assigns before it gives up.
+HOM_SEARCH_BUDGET = 10**6
+
 
 def _first_violating_subset(n: int, cap: int, excess) -> list[int] | None:
     """Shared core of the brute-force oracles: the first vertex subset,
@@ -257,14 +260,12 @@ def _elimination_orientation(h: Hypergraph) -> list[int]:
     return assignment
 
 
-def find_homomorphism(
-    g: DirectedGraph, target: DirectedGraph, budget: int = 10**6
-) -> list[int]:
+def find_homomorphism(g: DirectedGraph, target: DirectedGraph) -> list[int]:
     """Least arc-preserving map V(g) -> V(target) under (vertex, value)
     lexicographic order, by backtracking search.
 
-    The search assigns at most ``budget`` (vertex, value) pairs and
-    raises CapExceeded past that."""
+    The search assigns at most HOM_SEARCH_BUDGET (vertex, value) pairs
+    and raises CapExceeded past that."""
     n = g.num_vertices
     if n == 0:
         return []
@@ -298,8 +299,8 @@ def find_homomorphism(
             val += 1
         if val < target.num_vertices:
             nodes += 1
-            if nodes > budget:
-                raise CapExceeded(f"more than {budget} search nodes")
+            if nodes > HOM_SEARCH_BUDGET:
+                raise CapExceeded(f"more than {HOM_SEARCH_BUDGET} search nodes")
             image[v] = val
             candidate[v] = val
             v += 1

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import io
-from functools import partial
 
 import pytest
 
@@ -166,9 +165,7 @@ def test_orient_hom(files):
 
 def test_orient_hom_search_budget(files, monkeypatch):
     # past its node budget the search is refused, not run on
-    monkeypatch.setattr(
-        sparsity, "find_homomorphism", partial(sparsity.find_homomorphism, budget=1)
-    )
+    monkeypatch.setattr(sparsity, "HOM_SEARCH_BUDGET", 1)
     code, text = cli(
         "orient",
         "hom",

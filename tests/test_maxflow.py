@@ -75,13 +75,6 @@ def test_max_flow_matches_networkx(seed, n):
     assert side == {0} | nx.descendants(open_arcs, 0)
 
 
-def test_flows_are_deterministic():
-    first, _, _ = random_network(7, 200)
-    second, _, _ = random_network(7, 200)
-    assert first.max_flow(0, 1) == second.max_flow(0, 1)
-    assert first.cap == second.cap
-
-
 def least_max_excess_set(h: Hypergraph, k: int) -> list[int] | None:
     """By enumeration: the least vertex set maximizing |E|_X| - k|X|,
     or None when that maximum is 0 (the hypergraph is k-sparse).  The

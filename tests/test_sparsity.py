@@ -194,13 +194,15 @@ def test_find_homomorphism_loop_requires_loop():
     assert find_homomorphism(g, target) == [1]
 
 
-def test_find_homomorphism_budget():
+def test_find_homomorphism_budget(monkeypatch):
     # the least map assigns u then v: two search nodes
     g = DirectedGraph(["u", "v"], [(0, 1)])
     target = DirectedGraph(["x", "y"], [(0, 1), (1, 0)])
-    assert find_homomorphism(g, target, budget=2) == [0, 1]
+    monkeypatch.setattr(sparsity, "HOM_SEARCH_BUDGET", 2)
+    assert find_homomorphism(g, target) == [0, 1]
+    monkeypatch.setattr(sparsity, "HOM_SEARCH_BUDGET", 1)
     with pytest.raises(CapExceeded, match="more than 1 search nodes"):
-        find_homomorphism(g, target, budget=1)
+        find_homomorphism(g, target)
 
 
 def test_find_homomorphism_impossible():
