@@ -23,7 +23,7 @@ from .errors import (
     UndeclaredVertex,
 )
 from .maxflow import FlowNetwork
-from .sparsity import _count_table, _first_violating_subset
+from .sparsity import _count_table, _first_max_excess_subset
 
 
 def border(g: UndirectedGraph, z) -> list[int]:
@@ -124,8 +124,10 @@ def is_k_sparse_distribution_bruteforce(
 ):
     """Check delta(Z) <= |Z| + k|B(Z)| over every subset Z.
 
-    Subsets are bitmasks with vertex i on bit i; the first violating
-    mask (in numeric order) becomes the witness.
+    Subsets are bitmasks with vertex i on bit i; the witness is the
+    least set of maximum excess delta(Z) - |Z| - k|B(Z)|, the one
+    ``is_k_sparse_distribution`` names, found as the first maximum in
+    numeric mask order.
     """
     n, m = g.num_vertices, len(g.edges)
     total = sum(d)
@@ -144,7 +146,7 @@ def is_k_sparse_distribution_bruteforce(
             s[:, 0, :, 1, :] -= kk
         return table
 
-    witness = _first_violating_subset(n, cap, excess)
+    witness = _first_max_excess_subset(n, cap, excess)
     return witness is None, witness
 
 

@@ -20,7 +20,6 @@ from .core import (
     Hypergraph,
     Orientation,
     connected_components,
-    induced_subhypergraph,
     is_connected,
 )
 from .errors import (
@@ -601,106 +600,90 @@ class DepthFirstSpanningTree:
         return u == v
 
     def is_chain(self, vs) -> bool:
-        vs = sorted(set(vs), key=lambda v: self._depth[v])
-        return all(
-            self.tree_leq(vs[i], vs[i + 1]) for i in range(len(vs) - 1)
-        )
+        return _is_chain(self.parent, self._depth, vs)
 
 
-def _uncovered_components(h: Hypergraph, uncovered: set) -> list[list[int]]:
-    """Components of the uncovered vertices under edge traces, ordered by
-    least member.
+def _is_chain(parent: dict, depth: dict, nodes) -> bool:
+    """The nodes lie on one path from the root: each is an ancestor of
+    the next deeper one."""
+    vs = sorted(set(nodes), key=depth.__getitem__)
+    for a, b in zip(vs, vs[1:]):
+        while depth[b] > depth[a]:
+            b = parent[b]
+        if a != b:
+            return False
+    return True
 
-    Two uncovered vertices are adjacent when some edge contains both;
-    covered members of the edge are ignored.  Trace adjacency (rather
-    than whole-edge containment) is what keeps every absorbed set
-    ``e - covered`` inside a single component, which in turn keeps edge
-    borders chains."""
-    comp_of: dict[int, int] = {}
-    comps: list[list[int]] = []
-    for start in sorted(uncovered):
-        if start in comp_of:
-            continue
-        index = len(comps)
-        comp = [start]
-        comp_of[start] = index
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for ei in h.incident_edges[v]:
-                for w in h.edges[ei]:
-                    if w in uncovered and w not in comp_of:
-                        comp_of[w] = index
-                        comp.append(w)
-                        frontier.append(w)
-        comps.append(sorted(comp))
-    return comps
+
+def _grow_dfst(h: Hypergraph, root: int, vertices) -> DepthFirstSpanningTree:
+    """The tree of ``build_dfst`` over the component of ``root``, grown
+    in place in ``h``: ``vertices`` are that component's vertices, and
+    none is reindexed."""
+    nodes = [root]
+    parent: dict[int, int | None] = {root: None}
+    depth = {root: 0}
+    attach: dict[int, frozenset] = {root: frozenset()}
+    aux: dict[int, frozenset] = {root: frozenset([root])}
+    types: dict[int, tuple] = {root: ("root", 0)}
+    owner = {root: root}  # vertex -> tree node owning it
+    for start in sorted(vertices):
+        while start not in owner:
+            comp, border, frontier = {start}, set(), [start]
+            while frontier:
+                for ei in h.incident_edges[frontier.pop()]:
+                    for w in h.edges[ei]:
+                        if w in owner:
+                            border.add(owner[w])
+                        elif w not in comp:
+                            comp.add(w)
+                            frontier.append(w)
+            assert border and _is_chain(parent, depth, border)
+            u = max(border, key=depth.__getitem__)
+            edge = min(
+                ei
+                for w in aux[u]
+                for ei in h.incident_edges[w]
+                if not comp.isdisjoint(h.edges[ei])
+            )
+            members = h.edges[edge]
+            v = min(w for w in members if w in comp)
+            # v is uncovered, so fewer than |members| levels are taken
+            taken = {types[owner[w]] for w in members if w in owner}
+            level = next(
+                l for l in range(len(members)) if ("succ", l) not in taken
+            )
+            nodes.append(v)
+            parent[v] = u
+            depth[v] = depth[u] + 1
+            attach[v] = frozenset([edge])
+            aux[v] = frozenset(w for w in members if w not in owner)
+            types[v] = ("succ", level)
+            for w in aux[v]:
+                owner[w] = v
+    return DepthFirstSpanningTree(
+        h, root, tuple(nodes), parent, attach, aux, types
+    )
 
 
 def build_dfst(h: Hypergraph, root: int) -> DepthFirstSpanningTree:
     """Depth-first spanning tree of a connected hypergraph.
 
-    Repeatedly picks the least uncovered component C, walks to the
-    deepest tree node u whose auxiliary set meets an edge leaving C,
-    and attaches the least such edge's least C-vertex below u.  The
-    attached node absorbs the edge's uncovered vertices, so borders of
-    edges stay chains (asserted every step).
+    Each step takes the component C of the least uncovered vertex under
+    edge traces (two uncovered vertices are adjacent when some edge
+    contains both), walks to the deepest tree node u on the border of C
+    (the owners of covered members of edges meeting C), and attaches the
+    least C-vertex of the least edge meeting both C and A_u below u.
+    The new node absorbs the edge's uncovered members, all of them in C,
+    so no other component's border changes: a vertex outside C sharing
+    an edge with one of them would lie in C.  Asserting that each
+    component's border is a chain when it is taken therefore checks
+    every border the growth makes.
     """
     if not 0 <= root < h.num_vertices:
         raise NotATreeNode(f"root {root} not a vertex")
     if not is_connected(h):
         raise Disconnected("spanning trees need a connected hypergraph")
-    m = h.rank()
-    nodes = [root]
-    parent: dict[int, int | None] = {root: None}
-    attach: dict[int, frozenset] = {root: frozenset()}
-    aux: dict[int, frozenset] = {root: frozenset([root])}
-    types: dict[int, tuple] = {root: ("root", 0)}
-    owner = {root: root}  # vertex -> tree node owning it
-    tree = DepthFirstSpanningTree(h, root, (root,), dict(parent), {}, {}, {})
-    while len(owner) < h.num_vertices:
-        uncovered = set(range(h.num_vertices)) - set(owner)
-        comps = _uncovered_components(h, uncovered)
-        border_nodes: list[set] = []
-        for comp in comps:
-            inside = set(comp)
-            reached = set()
-            for v in comp:
-                for ei in h.incident_edges[v]:
-                    for w in h.edges[ei]:
-                        if w in owner:
-                            reached.add(owner[w])
-            border_nodes.append(reached)
-            assert reached and tree.is_chain(reached)
-        comp = set(comps[0])
-        candidates = sorted(border_nodes[0], key=tree.depth)
-        u = candidates[-1]
-        edge = min(
-            ei
-            for v in comp
-            for ei in h.incident_edges[v]
-            if set(h.edges[ei]) & aux[u]
-        )
-        v = min(set(h.edges[edge]) & comp)
-        b_edge = sorted({owner[w] for w in h.edges[edge] if w in owner})
-        taken = {
-            types[x][1] for x in b_edge if types[x][0] == "succ"
-        }
-        level = next(l for l in range(m) if l not in taken)
-        nodes.append(v)
-        parent[v] = u
-        attach[v] = frozenset([edge])
-        new_aux = frozenset(w for w in h.edges[edge] if w not in owner)
-        aux[v] = new_aux
-        types[v] = ("succ", level)
-        for w in new_aux:
-            owner[w] = v
-        tree = DepthFirstSpanningTree(
-            h, root, tuple(nodes), dict(parent), {}, {}, {}
-        )
-    return DepthFirstSpanningTree(
-        h, root, tuple(nodes), parent, attach, aux, types
-    )
+    return _grow_dfst(h, root, range(h.num_vertices))
 
 
 def _recompute_aux(t: DepthFirstSpanningTree) -> dict:
@@ -795,13 +778,22 @@ def validate_dfst(h: Hypergraph, t: DepthFirstSpanningTree) -> list[str]:
     return bad
 
 
+def _owner_slots(t: DepthFirstSpanningTree) -> tuple[dict, dict]:
+    """Owning node and slot of every vertex; the slots number the
+    members of each auxiliary set in id order."""
+    owner: dict[int, int] = {}
+    slot: dict[int, int] = {}
+    for v in t.nodes:
+        for i, w in enumerate(sorted(t.aux_sets[v])):
+            owner[w] = v
+            slot[w] = i
+    return owner, slot
+
+
 def aux_preorder(t: DepthFirstSpanningTree) -> VertexOrder:
     """Preorder on all vertices: x below y iff x's owning node is a tree
     ancestor of y's; vertices owned by one node are equivalent."""
-    owner: dict[int, int] = {}
-    for v in t.nodes:
-        for w in t.aux_sets[v]:
-            owner[w] = v
+    owner, _ = _owner_slots(t)
 
     def leq(x, y):
         return t.tree_leq(owner[x], owner[y])
@@ -811,14 +803,9 @@ def aux_preorder(t: DepthFirstSpanningTree) -> VertexOrder:
 
 def aux_order(t: DepthFirstSpanningTree) -> VertexOrder:
     """Partial order refining aux_preorder: inside one auxiliary set,
-    members are separated by slots assigned in id order.  Linear on
-    every vertex set whose border is a chain, in particular on edges."""
-    owner: dict[int, int] = {}
-    slot: dict[int, int] = {}
-    for v in t.nodes:
-        for i, w in enumerate(sorted(t.aux_sets[v])):
-            owner[w] = v
-            slot[w] = i
+    members are separated by their slots.  Linear on every vertex set
+    whose border is a chain, in particular on edges."""
+    owner, slot = _owner_slots(t)
 
     def leq(x, y):
         if owner[x] == owner[y]:
@@ -831,34 +818,23 @@ def aux_order(t: DepthFirstSpanningTree) -> VertexOrder:
 # --- orders and orientations from spanning trees ----------------------------
 
 
-def _component_trees(h: Hypergraph):
-    """(component, induced subhypergraph, dfst, aux order) per component,
-    rooted at each component's least vertex."""
-    out = []
-    for comp in connected_components(h):
-        sub = induced_subhypergraph(h, comp)
-        tree = build_dfst(sub, 0)  # least vertex has local id 0
-        out.append((comp, sub, tree, aux_order(tree)))
-    return out
-
-
 def edge_ordering(h: Hypergraph) -> dict[int, tuple[int, ...]]:
-    """Members of every edge, linearly ordered by the component's
-    depth-first tree order."""
-    result: dict[int, tuple[int, ...]] = {}
-    for comp, sub, tree, order in _component_trees(h):
-        to_global = {i: v for i, v in enumerate(comp)}
-        inside = set(comp)
-        global_edges = [
-            ei
-            for ei in range(h.num_edges)
-            if all(v in inside for v in h.edges[ei])
-        ]
-        for local, gedge in enumerate(global_edges):
-            members = sub.edges[local]
-            ordered = order.sorted(members)
-            result[gedge] = tuple(to_global[v] for v in ordered)
-    return result
+    """Members of every edge, linearly ordered by the depth-first tree
+    order of its component, rooted at the component's least vertex.
+
+    The owners of an edge's members lie on one chain of the tree, so
+    sorting by (depth of owner, slot) gives the ``aux_order`` of the
+    component's tree."""
+    key: dict[int, tuple[int, int]] = {}
+    for comp in connected_components(h):
+        tree = _grow_dfst(h, comp[0], comp)
+        owner, slot = _owner_slots(tree)
+        for w, v in owner.items():
+            key[w] = (tree.depth(v), slot[w])
+    return {
+        ei: tuple(sorted(members, key=key.__getitem__))
+        for ei, members in enumerate(h.edges)
+    }
 
 
 def dfst_orientation(h: Hypergraph) -> Orientation:

@@ -49,22 +49,24 @@ ORACLE_MAX_VERTICES = 25
 HOM_SEARCH_BUDGET = 10**6
 
 
-def _first_violating_subset(n: int, cap: int, excess) -> list[int] | None:
+def _first_max_excess_subset(n: int, cap: int, excess) -> list[int] | None:
     """Shared core of the brute-force oracles: the first vertex subset,
-    in increasing bitmask order (vertex i = bit i), whose excess is
-    positive, or None.
+    in increasing bitmask order (vertex i = bit i), of maximum excess,
+    or None when that maximum is not positive.
 
     ``excess()`` returns an integer table over the 2^n subsets that is
-    positive exactly on the violating ones.  More than
-    min(cap, ORACLE_MAX_VERTICES) vertices are refused with CapExceeded
-    before any table is allocated.
+    positive exactly on the violating ones.  Its maximizers are closed
+    under intersection, so the first one is the least maximum-excess
+    set, the set the minimum cut of the flow decisions names.  More
+    than min(cap, ORACLE_MAX_VERTICES) vertices are refused with
+    CapExceeded before any table is allocated.
     """
     limit = min(cap, ORACLE_MAX_VERTICES)
     if n > limit:
         raise CapExceeded(f"{n} vertices exceeds the brute-force cap {limit}")
-    flags = excess() > 0
-    mask = int(np.argmax(flags))
-    if not flags[mask]:
+    table = excess()
+    mask = int(np.argmax(table))
+    if table[mask] <= 0:
         return None
     return [v for v in range(n) if mask >> v & 1]
 
@@ -79,10 +81,11 @@ def is_k_sparse_bruteforce(h: Hypergraph, k: int, cap: int = 20) -> SparsityRepo
     """Exhaustive check of |E|_X| <= k*|X| over all 2^n vertex subsets.
 
     Subsets are identified with bitmasks (vertex i = bit i); the witness
-    is the first violating subset in increasing bitmask order.  One
-    table holds +1 at each edge's mask and -k at each singleton; an
-    in-place subset-sum sweep turns it into |E|_X| - k*|X| for every X,
-    in O(2^n * n) vector operations.
+    is the least set of maximum excess |E|_X| - k*|X|, the one
+    ``is_k_sparse`` names, found as the first maximum in increasing
+    bitmask order.  One table holds +1 at each edge's mask and -k at
+    each singleton; an in-place subset-sum sweep turns it into
+    |E|_X| - k*|X| for every X, in O(2^n * n) vector operations.
     """
     _check_k(k)
     n, m = h.num_vertices, h.num_edges
@@ -101,7 +104,7 @@ def is_k_sparse_bruteforce(h: Hypergraph, k: int, cap: int = 20) -> SparsityRepo
             s[:, 1, :] += s[:, 0, :]
         return table
 
-    witness = _first_violating_subset(n, cap, excess)
+    witness = _first_max_excess_subset(n, cap, excess)
     return SparsityReport(witness is None, k, witness)
 
 

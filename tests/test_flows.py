@@ -162,7 +162,7 @@ def test_bruteforce_cap():
 
 
 def test_bruteforce_table_memory():
-    # one int32 table and its flags: about 5 bytes per subset
+    # one int32 table: about 4 bytes per subset
     n = 18
     g = UndirectedGraph([f"v{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
     tracemalloc.start()
@@ -194,6 +194,7 @@ def test_sparsity_routes_agree(seed):
     fast = is_k_sparse_distribution(g, d, k)
     brute = is_k_sparse_distribution_bruteforce(g, d, k)
     assert fast[0] == brute[0]
+    assert brute[1] == fast[1]  # both name the least maximum-excess set
     if not fast[0]:
         z = fast[1]
         assert distribution_sum(d, z) > len(z) + k * len(border(g, z))

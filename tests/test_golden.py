@@ -47,6 +47,13 @@ def test_golden(name, argv, monkeypatch):
     assert _report(argv) == expected
 
 
+def test_cases_match_expected_files():
+    # a stale or missing expected file fails here instead of lingering
+    names = [name for name, _ in _cases()]
+    assert len(names) == len(set(names))
+    assert set(names) == {p.stem for p in (GOLDEN / "expected").glob("*.txt")}
+
+
 if __name__ == "__main__":
     os.chdir(GOLDEN)
     for name, argv in _cases():

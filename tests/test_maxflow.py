@@ -102,5 +102,7 @@ def test_sparsity_witness_is_the_least_max_excess_set(seed):
     h = random_hypergraph(rng, n, 1 + rng.randrange(4), 1 + rng.randrange(3 * n))
     k = 1 + rng.randrange(2)
     report = is_k_sparse(h, k)
-    assert report.is_sparse == is_k_sparse_bruteforce(h, k).is_sparse
+    brute = is_k_sparse_bruteforce(h, k)
+    assert report.is_sparse == brute.is_sparse
     assert report.witness == least_max_excess_set(h, k)
+    assert brute.witness == report.witness

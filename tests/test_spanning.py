@@ -5,7 +5,12 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsehg.core import Hypergraph, DirectedGraph
+from sparsehg.core import (
+    DirectedGraph,
+    Hypergraph,
+    connected_components,
+    induced_subhypergraph,
+)
 from sparsehg.errors import (
     CapExceeded,
     ClassOverflow,
@@ -16,6 +21,7 @@ from sparsehg.errors import (
 )
 from sparsehg.generators import (
     random_connected_hypergraph,
+    random_hypergraph,
     rng_for,
     sample,
 )
@@ -312,6 +318,33 @@ def test_edge_ordering_per_component():
     h = Hypergraph(list("abcd"), [(0, 1), (2, 3)])
     ordering = edge_ordering(h)
     assert ordering == {0: (0, 1), 1: (2, 3)}
+
+
+def reference_edge_ordering(h: Hypergraph) -> dict[int, tuple[int, ...]]:
+    """The definition from public API: per component, the aux order of
+    the depth-first tree of the induced subhypergraph rooted at its
+    least vertex, mapped back to global ids."""
+    result = {}
+    for comp in connected_components(h):
+        order = aux_order(build_dfst(induced_subhypergraph(h, comp), 0))
+        local = {v: i for i, v in enumerate(comp)}
+        for ei, members in enumerate(h.edges):
+            if members[0] in local:
+                ordered = order.sorted(local[v] for v in members)
+                result[ei] = tuple(comp[i] for i in ordered)
+    return result
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_edge_ordering_matches_reference(seed):
+    # few edges leave most inputs disconnected, many edges connect them
+    rng = rng_for(seed, 23)
+    n = 1 + rng.randrange(16)
+    h = random_hypergraph(rng, n, 1 + rng.randrange(5), rng.randrange(2 * n))
+    ordering = edge_ordering(h)
+    assert ordering == reference_edge_ordering(h)
+    f = dfst_orientation(h)
+    assert list(f.assignment) == [ordering[ei][0] for ei in range(h.num_edges)]
 
 
 def test_dfst_orientation_assigns_first_of_each_edge():
