@@ -3,7 +3,8 @@
 A hypergraph is k-sparse when every vertex set X spans at most k|X|
 edges.  The flow-based decision and the subset-enumeration oracle must
 agree; on sparse inputs an orientation with preimages bounded by k
-exists, and a second pass makes its directed quotient antisymmetric.
+exists.  Removing vertices in order of least remaining degree gives
+another, with preimages bounded by rank*k and an acyclic quotient.
 """
 
 from sparsehg import (
@@ -51,11 +52,13 @@ print("quotient arcs:", sorted(quotient.arcs))
 print("antisymmetric:", quotient.is_antisymmetric())
 
 banner("homomorphism into a small digraph")
-# the quotient of the triangle maps into a directed 3-cycle
+# every quotient arc points to a vertex eliminated earlier, so the
+# quotient is acyclic and maps into the transitive tournament x -> y -> z
+# (with x -> z); it has no map into a directed cycle of the same size
 from sparsehg import DirectedGraph
 
-cycle = DirectedGraph(["x", "y", "z"], [(0, 1), (1, 2), (2, 0)])
+tournament = DirectedGraph(["x", "y", "z"], [(0, 1), (1, 2), (0, 2)])
 quotient = directed_quotient(antisymmetric_orientation(triangle, 1))
-mapping = find_homomorphism(quotient, cycle)
+mapping = find_homomorphism(quotient, tournament)
 for v in quotient.vertices():
-    print(f"{quotient.vertex_labels[v]} -> {cycle.vertex_labels[mapping[v]]}")
+    print(f"{quotient.vertex_labels[v]} -> {tournament.vertex_labels[mapping[v]]}")

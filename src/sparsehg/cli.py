@@ -249,8 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bounded.add_argument("--k", type=int, required=True)
     bounded.set_defaults(handler=_cmd_orient_bounded)
     antisym = orient_sub.add_parser(
-        "antisym", help="antisymmetric quotient, preimages within m*k^2"
-    , parents=[common])
+        "antisym", help="acyclic quotient, preimages within rank*k", parents=[common]
+    )
     antisym.add_argument("hypergraph")
     antisym.add_argument("--k", type=int, required=True)
     antisym.set_defaults(handler=_cmd_orient_antisym)

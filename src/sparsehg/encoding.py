@@ -10,7 +10,6 @@ spanning forest.  The result h0 satisfies h = gmap after h0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 from .core import DirectedGraph, UndirectedGraph, _content_lines, _vertex_ids, connected_components
 from .errors import ParseError
@@ -134,7 +133,16 @@ def set_order(ctx: LexContext, x, y) -> int:
 
 
 def sort_sets(ctx: LexContext, sets) -> list:
-    return sorted(sets, key=cmp_to_key(lambda a, b: set_order(ctx, a, b)))
+    """``sets`` in increasing ``set_order``: each set's key lists the
+    negated lex positions of its members, least member first.  Only the
+    members of ``sets`` are ranked, so a call costs no more than its
+    sets."""
+    sets = list(sets)
+    members = sorted(set().union(*sets), key=ctx.keys.__getitem__)
+    rank = {v: i for i, v in enumerate(members)}
+    return sorted(
+        sets, key=lambda xs: tuple(-rank[v] for v in sorted(xs, key=rank.__getitem__))
+    )
 
 
 def refine_to_injective(

@@ -218,12 +218,6 @@ class PriorityTree:
     vertex_classes: tuple  # P_k as frozensets, k < m
     construction_log: tuple  # ((edge ids...), class index) per added path
 
-    def edge_class_of(self, e: int) -> int:
-        for k, edges in enumerate(self.edge_classes):
-            if e in edges:
-                return k
-        raise NotATreeNode(f"edge {e} not in tree")
-
     def vertex_class_of(self, v: int) -> int:
         for k, verts in enumerate(self.vertex_classes):
             if v in verts:

@@ -8,6 +8,7 @@ equivalence is constructive in both directions below.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,100 +168,54 @@ def bounded_orientation(h: Hypergraph, k: int) -> Orientation:
     return f
 
 
-def _bad_vertices(h: Hypergraph, assignment) -> list[int]:
-    outgoing: dict[int, set[int]] = {}
-    for ei, members in enumerate(h.edges):
-        b = assignment[ei]
-        for a in members:
-            if a != b:
-                outgoing.setdefault(a, set()).add(b)
-    bad = set()
-    for a, outs in outgoing.items():
-        for b in outs:
-            if a in outgoing.get(b, ()):
-                bad.add(a)
-                bad.add(b)
-                break
-    return sorted(bad)
-
-
 def antisymmetric_orientation(h: Hypergraph, k: int) -> Orientation:
-    """Orientation bounded by rank(h)*k^2 whose directed quotient has no
-    pair of opposite arcs.
+    """Orientation bounded by rank(h)*k whose directed quotient is
+    acyclic, so has no pair of opposite arcs.
 
-    Starts from the bounded orientation and eliminates bad vertices: a
-    vertex a is bad when the quotient contains arcs a -> b and b -> a
-    for some b.  The least bad vertex absorbs the edges feeding its
-    opposite arcs (Y = edges through a oriented into the span of
-    f^-1(a)) until it is clean.  Absorption can cascade, since the span
-    is recomputed from the grown preimage; when it leaves a preimage
-    above rank(h)*k^2, or a round fails to shrink the bad set, the
-    result is ``_elimination_orientation`` instead, whose preimages are
-    at most rank(h)*k.  Wherever absorption stays within the bound its
-    result is kept unchanged.
+    Repeatedly removes the least vertex of least remaining degree and
+    orients its surviving edges to it.  The surviving edges lie inside
+    the remaining vertex set X, so on a k-sparse input there are at most
+    k*|X| of them and the least remaining degree is at most rank(h)*k.
+    Every arc of the quotient points to a vertex removed earlier, so the
+    quotient is acyclic.  A lazy heap of (remaining degree, vertex)
+    entries yields the removal order; an entry is stale once its vertex
+    is removed or its degree has dropped.
     """
     _check_k(k)
     m = h.rank()
     if m < 2:
         raise RankTooSmall(f"rank {m} < 2")
-    f = bounded_orientation(h, k)
-    assignment = _absorb_bad_vertices(h, list(f.assignment))
-    result = None if assignment is None else Orientation(h, assignment)
-    if result is None or max(preimage_counts(result)) > m * k * k:
-        result = Orientation(h, _elimination_orientation(h))
-    assert max(preimage_counts(result)) <= m * k * k
-    assert directed_quotient(result).is_antisymmetric()
-    return result
-
-
-def _absorb_bad_vertices(h: Hypergraph, assignment: list[int]) -> list[int] | None:
-    """Bad-vertex elimination rounds on ``assignment`` (in place); None
-    when a round does not shrink the bad set."""
-    bad = _bad_vertices(h, assignment)
-    while bad:
-        a = bad[0]
-        while True:
-            span = set()
-            for ei, v in enumerate(assignment):
-                if v == a:
-                    span.update(h.edges[ei])
-            span.discard(a)
-            redirect = [
-                ei
-                for ei in h.incident_edges[a]
-                if assignment[ei] != a and assignment[ei] in span
-            ]
-            if not redirect:
-                break
-            for ei in redirect:
-                assignment[ei] = a
-        remaining = _bad_vertices(h, assignment)
-        if len(remaining) >= len(bad):
-            return None
-        bad = remaining
-    return assignment
-
-
-def _elimination_orientation(h: Hypergraph) -> list[int]:
-    """Repeatedly remove the least vertex of least remaining degree and
-    orient its surviving edges to it.
-
-    The surviving edges lie inside the remaining vertex set X, so on a
-    k-sparse input there are at most k*|X| of them and the least degree
-    is at most rank(h)*k.  Every arc of the quotient points to a vertex
-    removed earlier, so no two arcs are opposite."""
+    witness = _solve_sparsity_network(h, k)[2]
+    if witness is not None:
+        raise NotKSparse(f"not {k}-sparse", witness=witness)
     assignment: list[int | None] = [None] * h.num_edges
     degree = [len(es) for es in h.incident_edges]
-    remaining = set(range(h.num_vertices))
-    while remaining:
-        v = min(remaining, key=lambda x: (degree[x], x))
-        remaining.discard(v)
+    removed_at = [-1] * h.num_vertices
+    heap = [(d, v) for v, d in enumerate(degree)]
+    heapq.heapify(heap)
+    step = 0
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed_at[v] >= 0 or d != degree[v]:
+            continue
+        removed_at[v] = step
+        step += 1
         for ei in h.incident_edges[v]:
             if assignment[ei] is None:
                 assignment[ei] = v
                 for w in h.edges[ei]:
                     degree[w] -= 1
-    return assignment
+                    if removed_at[w] < 0:
+                        heapq.heappush(heap, (degree[w], w))
+    f = Orientation(h, assignment)
+    assert max(preimage_counts(f)) <= m * k
+    # every arc a -> f(e) points to a vertex removed no later than a
+    assert all(
+        removed_at[b] <= removed_at[a]
+        for members, b in zip(h.edges, assignment)
+        for a in members
+    )
+    return f
 
 
 def find_homomorphism(g: DirectedGraph, target: DirectedGraph) -> list[int]:

@@ -131,15 +131,17 @@ def test_orient_bounded_not_sparse(files):
 
 
 def test_orient_antisym(files):
+    # all degrees are 2, so a goes first and takes ab and ac; then b
+    # and c both have degree 1, and b, the lesser, takes bc
     code, text = cli("orient", "antisym", files("t.hg", TRIANGLE), "--k", "1")
     assert code == 0
-    assert text == "ab -> a\nbc -> b\nac -> c\n"
+    assert text == "ab -> a\nbc -> b\nac -> a\n"
 
 
 def test_orient_antisym_elimination_fallback(files):
-    # absorption from the bounded orientation would leave 5 edges at
-    # v0 (> m*k^2 = 4); elimination by least remaining degree removes
-    # v4, v5, v3, v1, v0 in turn and each takes its surviving edges
+    # elimination by least remaining degree removes v4, v5, v3, v1, v0
+    # in turn and each takes its surviving edges; no preimage exceeds
+    # rank*k = 4 although v0 lies on every edge
     hg = "".join(f"v v{i}\n" for i in range(7)) + (
         "e 0 v0 v1 v2\ne 1 v0 v1 v6\ne 2 v0 v2 v3 v6\n"
         "e 3 v0 v1 v3 v6\ne 4 v0 v2 v4 v5\ne 5 v0 v2 v6\n"

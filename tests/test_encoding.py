@@ -107,6 +107,10 @@ def test_set_order_is_total(seed):
             for z in sets:
                 if cmp <= 0 and set_order(ctx, y, z) <= 0:
                     assert set_order(ctx, x, z) <= 0
+    # the plain sort key ranks exactly as the comparison does
+    assert sort_sets(ctx, sets) == sorted(
+        sets, key=cmp_to_key(lambda a, b: set_order(ctx, a, b))
+    )
 
 
 @given(st.integers(0, 2**31 - 1))
