@@ -201,6 +201,8 @@ def _cmd_encode_refine(args) -> list[str]:
 
 
 def _cmd_suite(args) -> list[str]:
+    if args.n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {args.n}")
     sizes = suites.parse_sizes(args.sizes, args.name)
     return suites.run_suite(args.name, args.seed, args.n, sizes)
 

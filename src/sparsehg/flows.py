@@ -152,7 +152,7 @@ def is_k_sparse_distribution_bruteforce(
 
 def _solve_delta_network(g: UndirectedGraph, d, k: int):
     """Build and solve the auxiliary network: source 0, sink 1, vertex v
-    at node 2+v.
+    at node 2+v, its source arc 2v and its sink arc 2(n+v).
 
     Arcs are inserted in increasing id order, so the flow found is
     deterministic.  Returns the solved network, the per-edge arc indices
@@ -182,6 +182,26 @@ def _solve_delta_network(g: UndirectedGraph, d, k: int):
         border(g, witness)
     )
     return net, forward, backward, witness
+
+
+def _route_increment(net: FlowNetwork, d, v: int) -> bool:
+    """Turn a maximum flow of d's solved network that saturates every
+    source arc into one of d + 1_v's, with at most one augmenting search;
+    False, changing no capacity, when d + 1_v's network has none."""
+    cap = net.cap
+    if d[v] >= 1:
+        cap[2 * v] += 1
+        if net.augment_unit(0, 1):
+            return True
+        cap[2 * v] -= 1
+        return False
+    sink_arc = 2 * (len(d) + v)
+    carried = cap[sink_arc + 1]
+    cap[sink_arc] = cap[sink_arc + 1] = 0
+    if carried and not net.augment_unit(2 + v, 1):
+        cap[sink_arc + 1] = carried
+        return False
+    return True
 
 
 def is_k_sparse_distribution(g: UndirectedGraph, d, k: int):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .core import Hypergraph, UndirectedGraph, is_connected
-from .flows import Flow, is_k_sparse_distribution
+from .flows import Flow, _route_increment, _solve_delta_network, is_k_sparse_distribution
 
 
 def rng_for(*parts: int) -> random.Random:
@@ -131,14 +131,27 @@ def random_sparse_distribution(
     rng: random.Random, g: UndirectedGraph, k: int
 ) -> list[int]:
     """Grow demands one unit at a time, rolling back any increment that
-    breaks k-sparsity.  Total demand self-limits at |V| (take Z = V)."""
+    breaks k-sparsity.  Total demand self-limits at |V| (take Z = V).
+
+    One delta network serves the whole call.  Each accepted d is
+    k-sparse, so the network holds a maximum flow that saturates every
+    source arc, and d + 1_v is k-sparse exactly when one more unit can
+    be routed, which ``flows._route_increment`` decides with at most one
+    augmenting search:
+    - d(v) >= 1 raises v's source arc by one.
+    - d(v) = 0 closes v's sink arc.  A unit on it must reach the sink
+      from v by another path.  If none exists, the nodes reachable from
+      v hold the source, which sent the unit, and every arc leaving them
+      is saturated: a cut one unit below the source arcs' capacity, so a
+      fresh solve rejects too.
+    A rejected increment changes no capacity."""
     n = g.num_vertices
     d = [0] * n
+    net = _solve_delta_network(g, d, k)[0]  # the zero flow
     for _ in range(2 * n):
         v = rng.randrange(n)
-        d[v] += 1
-        if not is_k_sparse_distribution(g, d, k)[0]:
-            d[v] -= 1
+        if _route_increment(net, d, v):
+            d[v] += 1
     assert is_k_sparse_distribution(g, d, k)[0]
     return d
 

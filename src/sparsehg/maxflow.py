@@ -48,6 +48,27 @@ class FlowNetwork:
                 return total
             total += self._blocking_flow(source, sink, level)
 
+    def augment_unit(self, source: int, sink: int) -> bool:
+        """Push one unit along a shortest residual source-sink path.
+        Returns False, and changes no capacity, when there is none."""
+        adj, to, cap = self.adj, self.to, self.cap
+        into = {source: -1}  # node -> residual arc that first reached it
+        queue = [source]
+        for u in queue:
+            for a in adj[u]:
+                if cap[a] > 0 and to[a] not in into:
+                    v = to[a]
+                    into[v] = a
+                    if v == sink:
+                        while v != source:
+                            a = into[v]
+                            cap[a] -= 1
+                            cap[a ^ 1] += 1
+                            v = to[a ^ 1]
+                        return True
+                    queue.append(v)
+        return False
+
     def _levels(self, source: int, sink: int | None) -> list[int]:
         """Breadth-first distances from the source over residual arcs,
         -1 where unreached; the search stops once the sink is labelled."""

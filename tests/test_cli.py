@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from sparsehg import sparsity
+from sparsehg import sparsity, suites
 from sparsehg.cli import run
 from sparsehg.maxflow import FlowNetwork
 
@@ -432,3 +432,19 @@ def test_suite_seed_changes_report():
     _, a = cli("suite", "oracle", "--seed", "1", "--n", "2", "--sizes", "6")
     _, b = cli("suite", "oracle", "--seed", "2", "--n", "2", "--sizes", "6")
     assert a != b
+
+
+@pytest.mark.parametrize(
+    "argv,detail",
+    [
+        (["--sizes", "0"], "sizes must be positive integers, got 0"),
+        (["--sizes", "8,-3"], "sizes must be positive integers, got -3"),
+        (["--n", "-1"], "n must be a nonnegative integer, got -1"),
+    ],
+)
+def test_suite_refuses_bad_arguments_before_any_work(argv, detail, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("suite started")
+
+    monkeypatch.setattr(suites, "run_suite", no_work)
+    assert cli("suite", "pipeline", *argv) == (2, f"ERROR Usage\ndetail {detail}\n")

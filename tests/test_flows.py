@@ -39,9 +39,11 @@ from sparsehg.sparsity import ORACLE_MAX_VERTICES
 from sparsehg.generators import (
     random_circulation,
     random_connected_graph,
+    random_graph_max_degree,
     random_sparse_distribution,
     rng_for,
 )
+from sparsehg.maxflow import FlowNetwork
 
 
 def k2() -> UndirectedGraph:
@@ -230,6 +232,81 @@ def test_delta_flow_properties(seed):
     assert edge_bound <= k
     max_degree = max(g.degree(v) for v in g.vertices())
     assert vertex_bound <= max_degree * k
+
+
+# --- the distribution generator ----------------------------------------------
+
+
+def fresh_solve_distribution(rng, g: UndirectedGraph, k: int) -> list[int]:
+    """Reference rule for random_sparse_distribution: solve a new delta
+    network for every increment and roll back the ones it rejects."""
+    n = g.num_vertices
+    d = [0] * n
+    for _ in range(2 * n):
+        v = rng.randrange(n)
+        d[v] += 1
+        if not is_k_sparse_distribution(g, d, k)[0]:
+            d[v] -= 1
+    return d
+
+
+def generator_graph(family: str, seed: int) -> UndirectedGraph:
+    rng = rng_for(seed, 71)
+    n = 1 + rng.randrange(40)
+    if family == "connected":
+        return random_connected_graph(rng, n, rng.randrange(n))
+    if family == "max-degree":  # often disconnected
+        return random_graph_max_degree(rng, n, 1 + rng.randrange(4))
+    if family == "single":
+        return UndirectedGraph(["v0"], [])
+    return UndirectedGraph([f"v{i}" for i in range(n)], [])  # edgeless
+
+
+@pytest.mark.parametrize(
+    "family,seeds",
+    [("connected", 100), ("max-degree", 100), ("single", 3), ("edgeless", 12)],
+)
+def test_sparse_distribution_matches_fresh_solves(family, seeds):
+    for seed in range(seeds):
+        g = generator_graph(family, seed)
+        k = 1 + seed % 3
+        rng, reference_rng = rng_for(seed, 72), rng_for(seed, 72)
+        d = random_sparse_distribution(rng, g, k)
+        assert d == fresh_solve_distribution(reference_rng, g, k)
+        assert rng.random() == reference_rng.random()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_route_increment_keeps_the_network_of_d(seed):
+    # after every decision the residual capacities are those of d's
+    # network under a flow that saturates every source arc
+    g = generator_graph("connected", seed)
+    n, k = g.num_vertices, 1 + seed % 3
+    d = [0] * n
+    net = flows._solve_delta_network(g, d, k)[0]
+    rng = rng_for(seed, 73)
+    for _ in range(2 * n):
+        v = rng.randrange(n)
+        if flows._route_increment(net, d, v):
+            d[v] += 1
+        for w in range(n):
+            assert net.cap[2 * w : 2 * w + 2] == [0, max(0, d[w] - 1)]
+            sink_arc = net.cap[2 * (n + w) : 2 * (n + w) + 2]
+            assert sum(sink_arc) == (1 if d[w] == 0 else 0)
+
+
+@pytest.mark.parametrize("n", [10, 200])
+def test_sparse_distribution_solves_one_network(n, monkeypatch):
+    # one solve of the zero demands and one for the final assertion,
+    # whatever n
+    calls = []
+    solve = FlowNetwork.max_flow
+    monkeypatch.setattr(
+        FlowNetwork, "max_flow", lambda net, s, t: calls.append(1) or solve(net, s, t)
+    )
+    g = random_connected_graph(rng_for(7, n), n, n)
+    random_sparse_distribution(rng_for(8, n), g, 2)
+    assert len(calls) == 2
 
 
 # --- cycle cancelling ------------------------------------------------------------

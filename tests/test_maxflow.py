@@ -75,6 +75,21 @@ def test_max_flow_matches_networkx(seed, n):
     assert side == {0} | nx.descendants(open_arcs, 0)
 
 
+@pytest.mark.parametrize("seed,n", CASES)
+def test_unit_pushes_reach_the_max_flow_value(seed, n):
+    net = random_network(seed, n)[0]
+    pushed = 0
+    while net.augment_unit(0, 1):
+        pushed += 1
+    assert pushed == random_network(seed, n)[0].max_flow(0, 1)
+
+    # a failed push changes no capacity, from the source or any node
+    for start in range(n):
+        cap = list(net.cap)
+        if not net.augment_unit(start, 1):
+            assert net.cap == cap
+
+
 def least_max_excess_set(h: Hypergraph, k: int) -> list[int] | None:
     """By enumeration: the least vertex set maximizing |E|_X| - k|X|,
     or None when that maximum is 0 (the hypergraph is k-sparse).  The
