@@ -1,0 +1,146 @@
+"""Size-scaling bench: how each layer operation grows with the input.
+
+    python bench/run.py [--out BENCH.json]
+
+Each case runs one library call on a seeded input at
+n = 100, 200, 400, 800, 1600 and 3200 vertices.  A row holds the input's
+n, m and rank, the median of 3 timed runs (``time.perf_counter``) and
+the peak memory of one more run under ``tracemalloc``.  A case stops
+before a size whose projected cost, four times what the previous size
+took with its input set-up, would exceed its 30 s budget, and lists the
+sizes it skipped.  The CPU count and Python version are recorded once
+per file.
+
+The script measures the ``src/`` next to it: copy it into another
+checkout to measure that one on the same machine.  Standard library
+only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from sparsehg import flows, generators, sparsity, spanning  # noqa: E402
+
+SIZES = (100, 200, 400, 800, 1600, 3200)
+RUNS = 3
+BUDGET_S = 30.0  # per case
+
+
+def hypergraph(n):
+    """The k = 4 hypergraph rows: a connected backbone plus 2n edges of
+    rank up to 4."""
+    return generators.random_connected_hypergraph(generators.rng_for(7, n), n, 4, 2 * n)
+
+
+def graph(n):
+    """The k = 2 distribution rows: a random spanning tree plus n chords."""
+    return generators.random_connected_graph(generators.rng_for(7, n), n, n)
+
+
+def distribution_input(n):
+    g = graph(n)
+    return g, generators.random_sparse_distribution(generators.rng_for(8, n), g, 2)
+
+
+# name -> (input builder, operation on that input)
+CASES = {
+    "is_k_sparse": (hypergraph, lambda h: sparsity.is_k_sparse(h, 4)),
+    "bounded_orientation": (hypergraph, lambda h: sparsity.bounded_orientation(h, 4)),
+    "antisymmetric_orientation": (
+        hypergraph,
+        lambda h: sparsity.antisymmetric_orientation(h, 4),
+    ),
+    "build_dfst": (hypergraph, lambda h: spanning.build_dfst(h, 0)),
+    "edge_ordering": (hypergraph, spanning.edge_ordering),
+    "dfst_orientation": (hypergraph, spanning.dfst_orientation),
+    # every third edge is a target, with m = 8 classes
+    "build_priority_tree": (
+        hypergraph,
+        lambda h: spanning.build_priority_tree(h, 0, range(0, h.num_edges, 3), m=8),
+    ),
+    # a fresh generator per run, so every run makes the same increments
+    "random_sparse_distribution": (
+        graph,
+        lambda g: generators.random_sparse_distribution(
+            generators.rng_for(8, g.num_vertices), g, 2
+        ),
+    ),
+    "compute_delta_flow": (
+        distribution_input,
+        lambda gd: flows.compute_delta_flow(gd[0], gd[1], 2),
+    ),
+}
+
+
+def shape(x) -> dict:
+    g = x[0] if isinstance(x, tuple) else x
+    return {"n": g.num_vertices, "m": g.num_edges, "rank": g.rank()}
+
+
+def measure(op, x) -> dict:
+    times = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        op(x)
+        times.append(time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        op(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {
+        "median_s": round(statistics.median(times), 6),
+        "runs_s": [round(t, 6) for t in times],
+        "peak_mib": round(peak / 2**20, 3),
+    }
+
+
+def run_case(build, op) -> dict:
+    rows, skipped = [], []
+    spent, last = 0.0, 0.0
+    for n in SIZES:
+        if skipped or spent + 4 * last > BUDGET_S:
+            skipped.append(n)
+            continue
+        start = time.perf_counter()
+        x = build(n)
+        rows.append({**shape(x), **measure(op, x)})
+        last = time.perf_counter() - start
+        spent += last
+    return {"rows": rows, "skipped": skipped}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default="BENCH.json", help="JSON file to write")
+    args = parser.parse_args(argv)
+    report = {
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "sizes": list(SIZES),
+        "runs": RUNS,
+        "budget_s": BUDGET_S,
+        "cases": {},
+    }
+    for name, (build, op) in CASES.items():
+        report["cases"][name] = result = run_case(build, op)
+        medians = ", ".join(f"{r['n']}: {r['median_s']:.4f} s" for r in result["rows"])
+        print(f"{name}: {medians}; skipped {result['skipped']}", file=sys.stderr)
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -594,66 +594,58 @@ class DepthFirstSpanningTree:
         return u == v
 
     def is_chain(self, vs) -> bool:
-        return _is_chain(self.parent, self._depth, vs)
+        """The nodes lie on one path from the root: each is an ancestor of
+        the next deeper one."""
+        depth = self._depth
+        vs = sorted(set(vs), key=depth.__getitem__)
+        for a, b in zip(vs, vs[1:]):
+            while depth[b] > depth[a]:
+                b = self.parent[b]
+            if a != b:
+                return False
+        return True
 
 
-def _is_chain(parent: dict, depth: dict, nodes) -> bool:
-    """The nodes lie on one path from the root: each is an ancestor of
-    the next deeper one."""
-    vs = sorted(set(nodes), key=depth.__getitem__)
-    for a, b in zip(vs, vs[1:]):
-        while depth[b] > depth[a]:
-            b = parent[b]
-        if a != b:
-            return False
-    return True
-
-
-def _grow_dfst(h: Hypergraph, root: int, vertices) -> DepthFirstSpanningTree:
+def _grow_dfst(h: Hypergraph, root: int) -> DepthFirstSpanningTree:
     """The tree of ``build_dfst`` over the component of ``root``, grown
-    in place in ``h``: ``vertices`` are that component's vertices, and
-    none is reindexed."""
-    nodes = [root]
+    in place in ``h``: no vertex is reindexed."""
     parent: dict[int, int | None] = {root: None}
-    depth = {root: 0}
     attach: dict[int, frozenset] = {root: frozenset()}
     aux: dict[int, frozenset] = {root: frozenset([root])}
     types: dict[int, tuple] = {root: ("root", 0)}
     owner = {root: root}  # vertex -> tree node owning it
-    for start in sorted(vertices):
-        while start not in owner:
-            comp, border, frontier = {start}, set(), [start]
-            while frontier:
-                for ei in h.incident_edges[frontier.pop()]:
-                    for w in h.edges[ei]:
-                        if w in owner:
-                            border.add(owner[w])
-                        elif w not in comp:
-                            comp.add(w)
-                            frontier.append(w)
-            assert border and _is_chain(parent, depth, border)
-            u = max(border, key=depth.__getitem__)
-            edge = min(
-                ei
-                for w in aux[u]
-                for ei in h.incident_edges[w]
-                if not comp.isdisjoint(h.edges[ei])
-            )
-            members = h.edges[edge]
-            v = min(w for w in members if w in comp)
-            # v is uncovered, so fewer than |members| levels are taken
-            taken = {types[owner[w]] for w in members if w in owner}
-            level = next(
-                l for l in range(len(members)) if ("succ", l) not in taken
-            )
-            nodes.append(v)
-            parent[v] = u
-            depth[v] = depth[u] + 1
-            attach[v] = frozenset([edge])
-            aux[v] = frozenset(w for w in members if w not in owner)
-            types[v] = ("succ", level)
-            for w in aux[v]:
-                owner[w] = v
+    least = {root: root}  # node -> least vertex of its subtree so far
+    # the stack, in push order: each node with one pass over its incident
+    # edges in id order, as an edge without uncovered members gets none back
+    stack = {root: iter(h.incident_edges[root])}
+    while stack:
+        u = next(reversed(stack))
+        for edge in stack[u]:
+            if any(w not in owner for w in h.edges[edge]):
+                break
+        else:
+            del stack[u]
+            if parent[u] is not None:
+                least[parent[u]] = min(least[parent[u]], least[u])
+            continue
+        members = h.edges[edge]
+        # the edge's border is a chain: its covered members belong to u's
+        # root path, the only nodes that still have live edges
+        assert all(owner[w] in stack for w in members if w in owner)
+        # an uncovered member exists, so fewer than |members| levels are taken
+        taken = {types[owner[w]] for w in members if w in owner}
+        level = next(l for l in range(len(members)) if ("succ", l) not in taken)
+        v = min(w for w in members if w not in owner)
+        parent[v] = u
+        attach[v] = frozenset([edge])
+        aux[v] = frozenset(w for w in members if w not in owner)
+        types[v] = ("succ", level)
+        least[v] = v
+        for w in aux[v]:
+            owner[w] = v
+        stack[v] = iter(sorted({ei for w in aux[v] for ei in h.incident_edges[w]}))
+    # stable over creation order: nodes sharing a least vertex form a root path
+    nodes = sorted(parent, key=least.__getitem__)
     return DepthFirstSpanningTree(
         h, root, tuple(nodes), parent, attach, aux, types
     )
@@ -662,22 +654,27 @@ def _grow_dfst(h: Hypergraph, root: int, vertices) -> DepthFirstSpanningTree:
 def build_dfst(h: Hypergraph, root: int) -> DepthFirstSpanningTree:
     """Depth-first spanning tree of a connected hypergraph.
 
-    Each step takes the component C of the least uncovered vertex under
-    edge traces (two uncovered vertices are adjacent when some edge
-    contains both), walks to the deepest tree node u on the border of C
-    (the owners of covered members of edges meeting C), and attaches the
-    least C-vertex of the least edge meeting both C and A_u below u.
-    The new node absorbs the edge's uncovered members, all of them in C,
-    so no other component's border changes: a vertex outside C sharing
-    an edge with one of them would lie in C.  Asserting that each
-    component's border is a chain when it is taken therefore checks
-    every border the growth makes.
+    The tree is that of a process on pieces, the components of the
+    uncovered vertices under edge traces.  Each step takes the piece C of
+    the least uncovered vertex and the deepest tree node u on its border
+    (the owners of covered members of edges meeting C), and attaches
+    below u the least C-vertex v of the least edge meeting C and A_u; v
+    absorbs that edge's uncovered members.  A piece split off C then
+    meets A_v, and its border lies in C's border plus v: v is its
+    deepest border node, so v's subtree covers exactly C.  The process
+    is therefore a depth-first search (Tarjan 1972), grown as one: the
+    node on top of the stack attaches its least live edge (one with an
+    uncovered member) and is popped when none is left, and every border
+    is a chain on the stack.  The least vertex of v's subtree is the
+    least uncovered vertex when v was attached, and the nodes attached
+    while it stays uncovered go deeper, so ``nodes``, the order of the
+    steps, is the order by (least vertex of the subtree, depth).
     """
     if not 0 <= root < h.num_vertices:
         raise NotATreeNode(f"root {root} not a vertex")
     if not is_connected(h):
         raise Disconnected("spanning trees need a connected hypergraph")
-    return _grow_dfst(h, root, range(h.num_vertices))
+    return _grow_dfst(h, root)
 
 
 def _recompute_aux(t: DepthFirstSpanningTree) -> dict:
@@ -821,7 +818,7 @@ def edge_ordering(h: Hypergraph) -> dict[int, tuple[int, ...]]:
     component's tree."""
     key: dict[int, tuple[int, int]] = {}
     for comp in connected_components(h):
-        tree = _grow_dfst(h, comp[0], comp)
+        tree = _grow_dfst(h, comp[0])
         owner, slot = _owner_slots(tree)
         for w, v in owner.items():
             key[w] = (tree.depth(v), slot[w])

@@ -26,7 +26,9 @@ from sparsehg.generators import (
     sample,
 )
 from sparsehg.spanning import (
+    DepthFirstSpanningTree,
     VertexOrder,
+    _grow_dfst,
     aux_order,
     aux_preorder,
     b_set,
@@ -271,6 +273,100 @@ def test_dfst_absorbed_vertices_keep_borders_chains():
     )
     t = build_dfst(h, 0)
     assert validate_dfst(h, t) == []
+
+
+def reference_grow_dfst(h: Hypergraph, root: int, vertices) -> DepthFirstSpanningTree:
+    """The depth-first tree by its defining process, one step per piece:
+    recompute the trace component C of the least uncovered vertex, take
+    the deepest node u on its border, and attach the least C-vertex of
+    the least edge meeting both C and A_u below u.  ``vertices`` is the
+    component of ``root``."""
+    nodes = [root]
+    parent: dict[int, int | None] = {root: None}
+    depth = {root: 0}
+    attach: dict[int, frozenset] = {root: frozenset()}
+    aux: dict[int, frozenset] = {root: frozenset([root])}
+    types: dict[int, tuple] = {root: ("root", 0)}
+    owner = {root: root}
+    for start in sorted(vertices):
+        while start not in owner:
+            comp, border, frontier = {start}, set(), [start]
+            while frontier:
+                for ei in h.incident_edges[frontier.pop()]:
+                    for w in h.edges[ei]:
+                        if w in owner:
+                            border.add(owner[w])
+                        elif w not in comp:
+                            comp.add(w)
+                            frontier.append(w)
+            chain = sorted(border, key=depth.__getitem__)
+            for a, b in zip(chain, chain[1:]):
+                while depth[b] > depth[a]:
+                    b = parent[b]
+                assert a == b, "border is not a chain"
+            u = chain[-1]
+            edge = min(
+                ei
+                for w in aux[u]
+                for ei in h.incident_edges[w]
+                if not comp.isdisjoint(h.edges[ei])
+            )
+            members = h.edges[edge]
+            v = min(w for w in members if w in comp)
+            taken = {types[owner[w]] for w in members if w in owner}
+            level = next(
+                l for l in range(len(members)) if ("succ", l) not in taken
+            )
+            nodes.append(v)
+            parent[v] = u
+            depth[v] = depth[u] + 1
+            attach[v] = frozenset([edge])
+            aux[v] = frozenset(w for w in members if w not in owner)
+            types[v] = ("succ", level)
+            for w in aux[v]:
+                owner[w] = v
+    return DepthFirstSpanningTree(
+        h, root, tuple(nodes), parent, attach, aux, types
+    )
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_grow_dfst_matches_reference(block):
+    # 300 inputs per block, 3,000 in all: n <= 40, ranks 0-5, sparse ones
+    # disconnected and with isolated vertices; every component grown
+    # from its least vertex and from a random one
+    for seed in range(300 * block, 300 * (block + 1)):
+        rng = rng_for(seed, 24)
+        n = 1 + rng.randrange(40)
+        rank = rng.randrange(6)
+        h = random_hypergraph(rng, n, rank, rng.randrange(2 * n) if rank else 0)
+        for comp in connected_components(h):
+            for root in (comp[0], comp[rng.randrange(len(comp))]):
+                got = _grow_dfst(h, root)
+                want = reference_grow_dfst(h, root, comp)
+                assert got.nodes == want.nodes
+                assert got.parent == want.parent
+                assert got.attach_edges == want.attach_edges
+                assert got.aux_sets == want.aux_sets
+                assert got.vertex_types == want.vertex_types
+
+
+def test_dfst_deep_path_and_wide_star():
+    # far past the recursion limit in depth, and in fan-out
+    n = 5000
+    path = Hypergraph([f"v{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+    t = build_dfst(path, 0)
+    assert len(t.nodes) == n
+    assert [t.depth(v) for v in t.nodes] == list(range(n))
+    assert set().union(*t.aux_sets.values()) == set(range(n))
+    assert edge_ordering(path) == {i: (i, i + 1) for i in range(n - 1)}
+    star = Hypergraph([f"v{i}" for i in range(n + 1)], [(0, i) for i in range(1, n + 1)])
+    t = build_dfst(star, 0)
+    assert len(t.nodes) == n + 1
+    assert t.depth(0) == 0
+    assert all(t.depth(v) == 1 for v in range(1, n + 1))
+    assert set().union(*t.aux_sets.values()) == set(range(n + 1))
+    assert edge_ordering(star) == {i - 1: (0, i) for i in range(1, n + 1)}
 
 
 def test_dfst_errors():
