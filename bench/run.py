@@ -11,6 +11,9 @@ took with its input set-up, would exceed its 30 s budget, and lists the
 sizes it skipped.  The CPU count and Python version are recorded once
 per file.
 
+The ``cli_order_edges`` case reads its input file from ``bench/work/``,
+which the script fills with seeded files and leaves in place.
+
 The script measures the ``src/`` next to it: copy it into another
 checkout to measure that one on the same machine.  Standard library
 only.
@@ -19,6 +22,7 @@ only.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -28,9 +32,11 @@ import time
 import tracemalloc
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+HERE = Path(__file__).resolve().parent
+WORK = HERE / "work"
+sys.path.insert(0, str(HERE.parent / "src"))
 
-from sparsehg import flows, generators, sparsity, spanning  # noqa: E402
+from sparsehg import cli, core, flows, generators, sparsity, spanning  # noqa: E402
 
 SIZES = (100, 200, 400, 800, 1600, 3200)
 RUNS = 3
@@ -41,6 +47,28 @@ def hypergraph(n):
     """The k = 4 hypergraph rows: a connected backbone plus 2n edges of
     rank up to 4."""
     return generators.random_connected_hypergraph(generators.rng_for(7, n), n, 4, 2 * n)
+
+
+def hypergraph_text(n):
+    """The k = 4 hypergraph and its text."""
+    h = hypergraph(n)
+    return h, core.serialize_hypergraph(h)
+
+
+def hypergraph_file(n):
+    """The k = 4 hypergraph and the path of its text file."""
+    h, text = hypergraph_text(n)
+    WORK.mkdir(exist_ok=True)
+    path = WORK / f"hypergraph_{n}.hg"
+    path.write_text(text, encoding="utf-8")
+    return h, str(path)
+
+
+def cli_run(argv):
+    """One in-process command line, its report kept in memory."""
+    code = cli.run(argv, io.StringIO())
+    if code != 0:
+        raise RuntimeError(f"{argv} exited with {code}")
 
 
 def graph(n):
@@ -80,6 +108,9 @@ CASES = {
         distribution_input,
         lambda gd: flows.compute_delta_flow(gd[0], gd[1], 2),
     ),
+    "parse_hypergraph": (hypergraph_text, lambda ht: core.parse_hypergraph(ht[1])),
+    # end to end: argv and input file to report
+    "cli_order_edges": (hypergraph_file, lambda hp: cli_run(["order", "edges", hp[1]])),
 }
 
 

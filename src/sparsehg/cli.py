@@ -13,6 +13,7 @@ deterministic given identical inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import flows, sparsity, spanning, suites
@@ -221,6 +222,7 @@ def _resolve_edge(h, label: str) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+@functools.cache  # parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparsehg",
@@ -335,9 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv, out=None) -> int:
     """Execute one command line; returns the exit code."""
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -360,11 +361,14 @@ def run(argv, out=None) -> int:
         lines = ["ERROR Usage", f"detail {exc}"]
         code = 2
     text = "".join(line + "\n" for line in lines)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        out.write(text)
+    try:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            return code
+    except OSError as exc:  # unwritable report file, like an unreadable input
+        text, code = f"ERROR IO\ndetail {exc}\n", 2
+    out.write(text)
     return code
 
 

@@ -30,9 +30,9 @@ from .errors import (
 )
 
 
-def _check_label(label: str, line: int | None = None) -> str:
-    if not label or any(c.isspace() for c in label) or "#" in label:
-        raise ParseError(f"bad label {label!r}", line=line)
+def _check_label(label: str) -> str:
+    if "#" in label or label.split() != [label]:  # split() splits where isspace() holds
+        raise ParseError(f"bad label {label!r}")
     return label
 
 
@@ -119,6 +119,9 @@ class UndirectedGraph(Hypergraph):
 
     def __init__(self, vertex_labels, edges, edge_labels=None):
         super().__init__(vertex_labels, edges, edge_labels)
+        self._index_pairs()
+
+    def _index_pairs(self) -> None:
         seen = {}
         for ei, members in enumerate(self.edges):
             if len(members) != 2:
@@ -144,7 +147,10 @@ def as_graph(h: Hypergraph) -> UndirectedGraph:
     """Reinterpret a hypergraph as a simple graph, or raise NotAGraph."""
     if isinstance(h, UndirectedGraph):
         return h
-    return UndirectedGraph(h.vertex_labels, h.edges, h.edge_labels)
+    g = UndirectedGraph.__new__(UndirectedGraph)
+    vars(g).update(vars(h))  # h's fields are validated and immutable: share them
+    g._index_pairs()
+    return g
 
 
 class DirectedGraph:
@@ -262,7 +268,7 @@ def _declarations(text: str, vertex_ids: dict, kind: str):
         elif tokens[0] == "v":
             if len(tokens) != 2:
                 raise ParseError("expected: v <label>", line=lineno)
-            label = _check_label(tokens[1], lineno)
+            label = tokens[1]
             if label in vertex_ids:
                 raise DuplicateLabel(f"vertex {label!r} declared twice", line=lineno)
             vertex_ids[label] = len(vertex_ids)
@@ -287,7 +293,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
     for lineno, tokens in _declarations(text, vertex_ids, "e"):
         if len(tokens) < 3:
             raise ParseError("expected: e <label> <v1> ...", line=lineno)
-        label = _check_label(tokens[1], lineno)
+        label = tokens[1]
         if label in edge_label_set:
             raise DuplicateLabel(f"edge {label!r} declared twice", line=lineno)
         members = _vertex_ids(vertex_ids.__getitem__, tokens[2:], lineno)

@@ -115,6 +115,21 @@ def test_output_flag(files, tmp_path):
     assert report.read_text() == "ok 1-sparse method=flow\n"
 
 
+@pytest.mark.parametrize(
+    "where",
+    [pytest.param("missing/report.txt", id="missing-directory"),
+     pytest.param(".", id="a-directory")],
+)
+def test_unwritable_output_is_an_io_error(files, tmp_path, where):
+    report = tmp_path / where
+    code, text = cli(
+        "sparsity", "check", files("t.hg", TRIANGLE), "--k", "1", "--output", str(report)
+    )
+    assert code == 2
+    assert text.startswith("ERROR IO\ndetail [Errno ")
+    assert text.endswith(f"{str(report)!r}\n")
+
+
 # --- orientations -----------------------------------------------------------------
 
 

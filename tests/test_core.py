@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,7 @@ from sparsehg.core import (
     Hypergraph,
     Orientation,
     UndirectedGraph,
+    _check_label,
     as_graph,
     connected_components,
     induced_subhypergraph,
@@ -25,7 +28,7 @@ from sparsehg.errors import (
     ParseError,
     UndeclaredVertex,
 )
-from sparsehg.generators import random_hypergraph, rng_for
+from sparsehg.generators import random_connected_graph, random_hypergraph, rng_for
 
 
 def triangle() -> Hypergraph:
@@ -73,6 +76,39 @@ def test_as_graph_accepts_only_pairs():
         as_graph(h)
 
 
+def _not_a_graph_message(build) -> str:
+    with pytest.raises(NotAGraph) as exc:
+        build()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_as_graph_matches_the_graph_constructor(seed):
+    # edges in reverse id order, so that members arrive unsorted
+    g = random_connected_graph(rng_for(seed, 3), 12, 10)
+    h = Hypergraph(g.vertex_labels, [e[::-1] for e in reversed(g.edges)])
+    built = UndirectedGraph(h.vertex_labels, h.edges, h.edge_labels)
+    graph = as_graph(h)
+    assert type(graph) is UndirectedGraph
+    assert graph == built
+    assert graph.adjacency == built.adjacency
+    assert graph.incident_edges == built.incident_edges
+    pairs = [(u, v) for u in h.vertices() for v in h.vertices()]
+    assert [graph.edge_between(u, v) for u, v in pairs] == [
+        built.edge_between(u, v) for u, v in pairs
+    ]
+
+
+@pytest.mark.parametrize(
+    "edges,message",
+    [([(0, 1), (0, 1, 2)], "edge y has size 3"), ([(0, 1), (1, 0)], "parallel edge y")],
+)
+def test_as_graph_refuses_like_the_graph_constructor(edges, message):
+    args = (["a", "b", "c"], edges, ["x", "y"])
+    assert _not_a_graph_message(lambda: as_graph(Hypergraph(*args))) == message
+    assert _not_a_graph_message(lambda: UndirectedGraph(*args)) == message
+
+
 def test_digraph_neighbours_and_antisymmetry():
     g = DirectedGraph(["x", "y", "z"], [(0, 1), (1, 2)])
     assert g.out_neighbours[0] == (1,)
@@ -109,6 +145,45 @@ def test_parse_errors_carry_line_numbers():
         parse_hypergraph("v a\ne e1 a a\n")
     with pytest.raises(ParseError):
         parse_hypergraph("w a\n")
+
+
+def _reference_label_ok(label: str) -> bool:
+    """The per-character predicate that ``_check_label`` replaced."""
+    return bool(label) and not any(c.isspace() for c in label) and "#" not in label
+
+
+def _label_ok(label: str) -> bool:
+    try:
+        _check_label(label)
+    except ParseError:
+        return False
+    return True
+
+
+def test_label_check_matches_reference_on_every_code_point():
+    mismatches = [
+        label
+        for c in map(chr, range(sys.maxunicode + 1))
+        for label in (c, f"a{c}b")
+        if _label_ok(label) != _reference_label_ok(label)
+    ]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("label", ["", "a b", "a#b", "\u3000", "x\x1c"])
+def test_constructors_refuse_bad_labels(label):
+    builds = [
+        lambda: Hypergraph([label], []),
+        lambda: Hypergraph(["a"], [(0,)], [label]),
+        lambda: UndirectedGraph([label], []),
+        lambda: UndirectedGraph(["a", "b"], [(0, 1)], [label]),
+        lambda: DirectedGraph([label], []),
+    ]
+    for build in builds:
+        with pytest.raises(ParseError) as exc:
+            build()
+        assert type(exc.value) is ParseError
+        assert str(exc.value) == f"bad label {label!r}"
 
 
 def test_hypergraph_round_trip():

@@ -47,6 +47,21 @@ def test_golden(name, argv, monkeypatch):
     assert _report(argv) == expected
 
 
+def test_reverse_replay_matches_forward(tmp_path, monkeypatch):
+    # the CLI builds its parser once per process, so no run may leave
+    # state behind for the next: replay the corpus backwards, each case
+    # also through --output, and compare with one forward replay
+    monkeypatch.chdir(GOLDEN)
+    cases = _cases()
+    forward = {name: _report(argv) for name, argv in cases}
+    for name, argv in reversed(cases):
+        assert _report(argv) == forward[name], name
+        exit_line, stdout = forward[name].split("\n", 1)
+        report = tmp_path / f"{name}.txt"
+        assert _report(argv + ["--output", str(report)]) == exit_line + "\n", name
+        assert (report.read_text(encoding="utf-8") if report.exists() else "") == stdout, name
+
+
 def test_cases_match_expected_files():
     # a stale or missing expected file fails here instead of lingering
     names = [name for name, _ in _cases()]
