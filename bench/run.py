@@ -4,12 +4,12 @@
 
 Each case runs one library call on a seeded input at
 n = 100, 200, 400, 800, 1600 and 3200 vertices.  A row holds the input's
-n, m and rank, the median of 3 timed runs (``time.perf_counter``) and
-the peak memory of one more run under ``tracemalloc``.  A case stops
-before a size whose projected cost, four times what the previous size
-took with its input set-up, would exceed its 30 s budget, and lists the
-sizes it skipped.  The CPU count and Python version are recorded once
-per file.
+n, m and rank, the median and the minimum of 5 timed runs
+(``time.perf_counter``) and the peak memory of one more run under
+``tracemalloc``.  A case stops before a size whose projected cost, four
+times what the previous size took with its input set-up, would exceed
+its 30 s budget, and lists the sizes it skipped.  The CPU count and
+Python version are recorded once per file.
 
 The ``cli_order_edges`` case reads its input file from ``bench/work/``,
 which the script fills with seeded files and leaves in place.
@@ -39,7 +39,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 from sparsehg import cli, core, flows, generators, sparsity, spanning  # noqa: E402
 
 SIZES = (100, 200, 400, 800, 1600, 3200)
-RUNS = 3
+RUNS = 5
 BUDGET_S = 30.0  # per case
 
 
@@ -62,6 +62,18 @@ def hypergraph_file(n):
     path = WORK / f"hypergraph_{n}.hg"
     path.write_text(text, encoding="utf-8")
     return h, str(path)
+
+
+def build_priority_tree(h):
+    """The priority tree from vertex 0 towards every third edge, with
+    m = 8 classes."""
+    return spanning.build_priority_tree(h, 0, range(0, h.num_edges, 3), m=8)
+
+
+def priority_tree(n):
+    """The k = 4 hypergraph and its priority tree."""
+    h = hypergraph(n)
+    return h, build_priority_tree(h)
 
 
 def cli_run(argv):
@@ -92,10 +104,11 @@ CASES = {
     "build_dfst": (hypergraph, lambda h: spanning.build_dfst(h, 0)),
     "edge_ordering": (hypergraph, spanning.edge_ordering),
     "dfst_orientation": (hypergraph, spanning.dfst_orientation),
-    # every third edge is a target, with m = 8 classes
-    "build_priority_tree": (
-        hypergraph,
-        lambda h: spanning.build_priority_tree(h, 0, range(0, h.num_edges, 3), m=8),
+    "build_priority_tree": (hypergraph, build_priority_tree),
+    "edge_order": (priority_tree, lambda ht: spanning.edge_order(ht[1])),
+    "priority_tree_linear_order": (
+        priority_tree,
+        lambda ht: spanning.priority_tree_linear_order(ht[1]),
     ),
     # a fresh generator per run, so every run makes the same increments
     "random_sparse_distribution": (
@@ -133,6 +146,7 @@ def measure(op, x) -> dict:
         tracemalloc.stop()
     return {
         "median_s": round(statistics.median(times), 6),
+        "min_s": round(min(times), 6),
         "runs_s": [round(t, 6) for t in times],
         "peak_mib": round(peak / 2**20, 3),
     }

@@ -149,33 +149,32 @@ def _edge_neighbours(h: Hypergraph, e: int) -> list[int]:
     return sorted(seen)
 
 
-def _edge_bfs(h: Hypergraph, start_edges, is_target) -> list[int] | None:
-    """Shortest edge sequence from the start set to a target, exploring
-    edges in increasing id order.  Shortest paths are automatically
-    hyperpaths: a chord between non-consecutive edges would shorten
-    the path."""
-    parent: dict[int, int | None] = {}
-    queue: list[int] = []
-    for e in sorted(set(start_edges)):
-        parent[e] = None
-        queue.append(e)
-    head = 0
-    while head < len(queue):
-        e = queue[head]
-        head += 1
-        if is_target(e):
-            path = []
-            cursor: int | None = e
-            while cursor is not None:
-                path.append(cursor)
-                cursor = parent[cursor]
-            path.reverse()
-            return path
+def _edge_bfs(h: Hypergraph, start_edges) -> dict[int, int | None]:
+    """Parent of every edge reachable from the start set, in discovery
+    order, exploring edges in increasing id order.  A parent is fixed
+    when its edge is first discovered, so walking the parents back from
+    an edge gives the path an early-exit search for it would return.
+    Shortest paths are automatically hyperpaths: a chord between
+    non-consecutive edges would shorten the path."""
+    parent: dict[int, int | None] = dict.fromkeys(sorted(set(start_edges)))
+    queue = list(parent)
+    for e in queue:  # grows while it is read: breadth first
         for nxt in _edge_neighbours(h, e):
             if nxt not in parent:
                 parent[nxt] = e
                 queue.append(nxt)
-    return None
+    return parent
+
+
+def _path_back(parent: dict[int, int | None], e: int) -> list[int]:
+    """The search path from the start set to ``e``."""
+    path = []
+    cursor: int | None = e
+    while cursor is not None:
+        path.append(cursor)
+        cursor = parent[cursor]
+    path.reverse()
+    return path
 
 
 def find_hyperpath(h: Hypergraph, u: int, v: int) -> list[int]:
@@ -187,10 +186,12 @@ def find_hyperpath(h: Hypergraph, u: int, v: int) -> list[int]:
     start = h.incident_edges[u]
     if not start:
         raise NoHyperpath(f"vertex {u} lies on no edge")
+    parent = _edge_bfs(h, start)
     targets = set(h.incident_edges[v])
-    path = _edge_bfs(h, start, lambda e: e in targets)
-    if path is None:
+    last = next((e for e in parent if e in targets), None)
+    if last is None:
         raise NoHyperpath(f"no hyperpath between {u} and {v}")
+    path = _path_back(parent, last)
     assert is_hyperpath(h, path)
     if len(path) > 1:
         assert u not in h.edges[path[1]] and v not in h.edges[path[-2]]
@@ -225,16 +226,6 @@ class PriorityTree:
         raise NotATreeNode(f"vertex {v} not in tree")
 
 
-def _path_to_edge(h: Hypergraph, root: int, target: int) -> list[int]:
-    start = h.incident_edges[root]
-    if not start:
-        raise NoHyperpath(f"root {root} lies on no edge")
-    path = _edge_bfs(h, start, lambda e: e == target)
-    if path is None:
-        raise NoHyperpath(f"edge {target} unreachable from {root}")
-    return path
-
-
 def build_priority_tree(h: Hypergraph, root: int, l0, m: int | None = None) -> PriorityTree:
     """Grow a priority tree from ``root`` reaching every edge in ``l0``.
 
@@ -243,7 +234,11 @@ def build_priority_tree(h: Hypergraph, root: int, l0, m: int | None = None) -> P
     glued on, and its edges take the least class index whose vertex
     class misses the suffix's first edge.  Guarantees that the union of
     the final leaf set is covered and every leaf edge belongs to l0.
+    One breadth-first search from the root's edges gives every target's
+    root hyperpath.
     """
+    if m is not None and m < 1:
+        raise ValueError(f"m must be a positive integer, got {m}")
     if not is_connected(h):
         raise Disconnected("priority trees need a connected hypergraph")
     if not 0 <= root < h.num_vertices:
@@ -263,18 +258,17 @@ def build_priority_tree(h: Hypergraph, root: int, l0, m: int | None = None) -> P
     edge_classes = [set() for _ in range(m)]
     vertex_classes = [set() for _ in range(m)]
     log: list[tuple[tuple[int, ...], int]] = []
+    # connected, so the root lies on an edge and every edge is reached
+    parent = _edge_bfs(h, h.incident_edges[root])
     for target in targets:
-        if in_tree or covered:
-            if set(h.edges[target]) <= covered:
-                continue  # already inside the tree, nothing to glue
-        path = _path_to_edge(h, root, target)
-        if covered:
-            meet = max(
-                i for i, e in enumerate(path) if set(h.edges[e]) & covered
-            )
-            suffix = path[meet:]
-        else:
-            suffix = path
+        if covered.issuperset(h.edges[target]):
+            continue  # already inside the tree, nothing to glue
+        path = _path_back(parent, target)
+        meet = max(
+            (i for i, e in enumerate(path) if not covered.isdisjoint(h.edges[e])),
+            default=0,
+        )
+        suffix = path[meet:]
         entry = set(h.edges[suffix[0]])
         k = next(
             (i for i in range(m) if not entry & vertex_classes[i]), None
@@ -421,11 +415,14 @@ def branches(t: PriorityTree, cap: int = 10**6) -> list[tuple[int, ...]]:
     return result
 
 
-def edge_order(t: PriorityTree, cap: int = 10**6) -> VertexOrder:
+def edge_order(t: PriorityTree) -> VertexOrder:
     """e <= f iff e lies on the branch ending at f, i.e. e is f or one
     of its ancestors.  A forest order, so ``tree_order_violations`` is
     empty by construction."""
-    down = {seq[-1]: set(seq) for seq in branches(t, cap)}
+    parent = _edge_parents(t)
+    down: dict[int, frozenset] = {}
+    for e in t.edge_list:  # every parent is glued before its children
+        down[e] = down.get(parent[e], frozenset()) | {e}
     return VertexOrder(sorted(t.edge_list), lambda e, f: e in down[f], "partial")
 
 
@@ -446,78 +443,22 @@ def vertex_equiv(t: PriorityTree) -> list[EquivClass]:
 
     Two vertices are equivalent when they share a class index k and a
     hyperpath of class-k edges connects them through class-k vertices.
-    Edges of one gluing step share only new (class-k) vertices, while
-    distinct steps of the same class never do, so the classes coincide
-    with the glued suffixes.  Raises MalformedTree if a class fails to
-    be a hyperpath with a unique leaf edge.
+    Edges of one gluing step share only new (class-k) vertices, while a
+    class-k suffix meets no earlier class-k vertex (its entry edge
+    misses class k and its other edges miss the tree), so each entry
+    of the construction log is one class: the suffix's class-k members.
     """
     h = t.hypergraph
-    leaf_set = set(t.leaf_edges)
     classes: list[EquivClass] = []
-    for k in range(t.m):
-        edges_k = sorted(t.edge_classes[k])
-        if not edges_k:
-            continue
-        own = {e: set(h.edges[e]) & t.vertex_classes[k] for e in edges_k}
-        comp_of: dict[int, int] = {}
-        groups: list[list[int]] = []
-        for e in edges_k:
-            if e in comp_of:
-                continue
-            group = [e]
-            comp_of[e] = len(groups)
-            frontier = [e]
-            while frontier:
-                cur = frontier.pop()
-                for other in edges_k:
-                    if other not in comp_of and own[cur] & own[other]:
-                        comp_of[other] = len(groups)
-                        group.append(other)
-                        frontier.append(other)
-            groups.append(group)
-        for group in groups:
-            path = _order_as_path(h, group, leaf_set)
-            verts = frozenset(v for e in group for v in own[e])
-            last_pos: dict[int, int] = {}
-            for i, e in enumerate(path):
-                for v in own[e]:
-                    last_pos[v] = i
-            classes.append(EquivClass(k, verts, tuple(path), path[-1], last_pos))
+    for suffix, k in t.construction_log:
+        last_pos: dict[int, int] = {}
+        for i, e in enumerate(suffix):
+            for v in t.vertex_classes[k].intersection(h.edges[e]):
+                last_pos[v] = i
+        vertices = frozenset(last_pos)
+        classes.append(EquivClass(k, vertices, suffix, suffix[-1], last_pos))
     classes.sort(key=lambda c: (c.class_index, min(c.vertices)))
     return classes
-
-
-def _order_as_path(h: Hypergraph, group: list[int], leaf_set: set) -> list[int]:
-    """Arrange a class's edges as the hyperpath they were glued as,
-    leaf edge last."""
-    leaves = [e for e in group if e in leaf_set]
-    if len(leaves) != 1:
-        raise MalformedTree(
-            f"class with edges {sorted(group)} has {len(leaves)} leaf edges"
-        )
-    if len(group) == 1:
-        return list(group)
-    members = {e: set(h.edges[e]) for e in group}
-    neighbours = {
-        e: [f for f in group if f != e and members[e] & members[f]]
-        for e in group
-    }
-    ends = [e for e in group if len(neighbours[e]) == 1]
-    if len(ends) != 2 or any(len(ns) > 2 for ns in neighbours.values()):
-        raise MalformedTree(f"class with edges {sorted(group)} is not a path")
-    leaf = leaves[0]
-    if leaf not in ends:
-        raise MalformedTree(f"leaf edge {leaf} is interior to its class")
-    start = ends[0] if ends[1] == leaf else ends[1]
-    path = [start]
-    prev = None
-    while path[-1] != leaf:
-        nxt = [f for f in neighbours[path[-1]] if f != prev]
-        prev = path[-1]
-        path.append(nxt[0])
-    if not is_hyperpath(h, path):
-        raise MalformedTree(f"class with edges {sorted(group)} is not a hyperpath")
-    return path
 
 
 def priority_tree_linear_order(

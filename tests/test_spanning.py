@@ -10,6 +10,7 @@ from sparsehg.core import (
     Hypergraph,
     connected_components,
     induced_subhypergraph,
+    is_connected,
 )
 from sparsehg.errors import (
     CapExceeded,
@@ -27,6 +28,8 @@ from sparsehg.generators import (
 )
 from sparsehg.spanning import (
     DepthFirstSpanningTree,
+    EquivClass,
+    PriorityTree,
     VertexOrder,
     _grow_dfst,
     aux_order,
@@ -207,6 +210,191 @@ def test_priority_tree_construction_properties(seed):
         assert set(h.edges[e]) <= t.nodes
     assert set(t.leaf_edges) <= set(l0)
     assert priority_tree_linear_order(t).is_total()
+
+
+def test_priority_tree_rejects_m_below_one():
+    # refused before any work: even a disconnected input gets ValueError
+    two = Hypergraph(["a", "b", "c", "d"], [(0, 1), (2, 3)])
+    for m in (0, -3):
+        with pytest.raises(ValueError, match=f"m must be a positive integer, got {m}"):
+            build_priority_tree(two, 0, [0], m=m)
+        with pytest.raises(ValueError, match=f"got {m}"):
+            build_priority_tree(path4(), 0, [2], m=m)
+    assert build_priority_tree(path4(), 0, [2], m=1).construction_log == (((0, 1, 2), 0),)
+
+
+def reference_edge_path(h: Hypergraph, start_edges, is_target) -> list[int] | None:
+    """Shortest edge sequence from the start set to the first target an
+    edge breadth-first search dequeues, exploring edges in id order."""
+    parent: dict[int, int | None] = {e: None for e in sorted(set(start_edges))}
+    queue = list(parent)
+    head = 0
+    while head < len(queue):
+        e = queue[head]
+        head += 1
+        if is_target(e):
+            path = [e]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        for nxt in sorted({f for v in h.edges[e] for f in h.incident_edges[v]} - {e}):
+            if nxt not in parent:
+                parent[nxt] = e
+                queue.append(nxt)
+    return None
+
+
+def reference_build_priority_tree(h: Hypergraph, root: int, l0, m=None) -> PriorityTree:
+    """The priority tree with one early-exit search per target."""
+    if not is_connected(h):
+        raise Disconnected("priority trees need a connected hypergraph")
+    if not 0 <= root < h.num_vertices:
+        raise NotATreeNode(f"root {root} not a vertex")
+    targets = sorted(set(l0))
+    if not targets:
+        raise ValueError("l0 must be nonempty")
+    for e in targets:
+        if not 0 <= e < h.num_edges:
+            raise NotATreeNode(f"edge {e} not in hypergraph")
+    if m is None:
+        m = h.rank()
+    covered: set[int] = set()
+    edge_list: list[int] = []
+    leaves: list[int] = []
+    edge_classes = [set() for _ in range(m)]
+    vertex_classes = [set() for _ in range(m)]
+    log = []
+    for target in targets:
+        if covered and set(h.edges[target]) <= covered:
+            continue
+        path = reference_edge_path(h, h.incident_edges[root], lambda e: e == target)
+        if covered:
+            meet = max(i for i, e in enumerate(path) if set(h.edges[e]) & covered)
+            path = path[meet:]
+        entry = set(h.edges[path[0]])
+        k = next((i for i in range(m) if not entry & vertex_classes[i]), None)
+        if k is None:
+            raise ClassOverflow(f"no class index below {m} is free")
+        for e in path:
+            edge_list.append(e)
+            edge_classes[k].add(e)
+            for v in h.edges[e]:
+                if v not in covered:
+                    covered.add(v)
+                    vertex_classes[k].add(v)
+        leaves.append(target)
+        log.append((tuple(path), k))
+    return PriorityTree(
+        h,
+        root,
+        m,
+        frozenset(covered),
+        tuple(edge_list),
+        tuple(leaves),
+        tuple(frozenset(s) for s in edge_classes),
+        tuple(frozenset(s) for s in vertex_classes),
+        tuple(log),
+    )
+
+
+def reference_order_as_path(h: Hypergraph, group: list[int], leaf_set: set) -> list[int]:
+    """Arrange a class's edges as a hyperpath, leaf edge last."""
+    leaves = [e for e in group if e in leaf_set]
+    if len(leaves) != 1:
+        raise MalformedTree(f"class with edges {sorted(group)} has {len(leaves)} leaf edges")
+    if len(group) == 1:
+        return list(group)
+    neighbours = {
+        e: [f for f in group if f != e and set(h.edges[e]) & set(h.edges[f])]
+        for e in group
+    }
+    ends = [e for e in group if len(neighbours[e]) == 1]
+    if len(ends) != 2 or any(len(ns) > 2 for ns in neighbours.values()):
+        raise MalformedTree(f"class with edges {sorted(group)} is not a path")
+    if leaves[0] not in ends:
+        raise MalformedTree(f"leaf edge {leaves[0]} is interior to its class")
+    path = [ends[0] if ends[1] == leaves[0] else ends[1]]
+    prev = None
+    while path[-1] != leaves[0]:
+        nxt = [f for f in neighbours[path[-1]] if f != prev]
+        prev = path[-1]
+        path.append(nxt[0])
+    if not is_hyperpath(h, path):
+        raise MalformedTree(f"class with edges {sorted(group)} is not a hyperpath")
+    return path
+
+
+def reference_vertex_equiv(t: PriorityTree) -> list[EquivClass]:
+    """The classes by definition: per class index k, the components of
+    the class-k edges linked by shared class-k vertices, each arranged
+    as a hyperpath."""
+    h = t.hypergraph
+    leaf_set = set(t.leaf_edges)
+    classes = []
+    for k in range(t.m):
+        edges_k = sorted(t.edge_classes[k])
+        own = {e: set(h.edges[e]) & t.vertex_classes[k] for e in edges_k}
+        seen: set[int] = set()
+        for e in edges_k:
+            if e in seen:
+                continue
+            group, frontier = [e], [e]
+            seen.add(e)
+            while frontier:
+                cur = frontier.pop()
+                for other in edges_k:
+                    if other not in seen and own[cur] & own[other]:
+                        seen.add(other)
+                        group.append(other)
+                        frontier.append(other)
+            path = reference_order_as_path(h, group, leaf_set)
+            last_pos = {v: i for i, f in enumerate(path) for v in own[f]}
+            verts = frozenset(v for f in group for v in own[f])
+            classes.append(EquivClass(k, verts, tuple(path), path[-1], last_pos))
+    classes.sort(key=lambda c: (c.class_index, min(c.vertices)))
+    return classes
+
+
+def reference_edge_order(t: PriorityTree) -> dict[int, set]:
+    """Down set of every tree edge: the edges of the branch ending at it."""
+    return {seq[-1]: set(seq) for seq in branches(t)}
+
+
+def _outcome(f, *args, **kwargs):
+    """A call's result, or its error's type and message."""
+    try:
+        return f(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_priority_tree_matches_reference(block):
+    # 300 inputs per block, 3,000 in all: n <= 44, ranks 2-5, random
+    # roots, 1-8 targets, default m or 1..rank+1 (small m overflows)
+    overflows = 0
+    for seed in range(300 * block, 300 * (block + 1)):
+        rng = rng_for(seed, 25)
+        n = 2 + rng.randrange(43)
+        h = random_connected_hypergraph(rng, n, 2 + rng.randrange(4), rng.randrange(2 * n))
+        root = rng.randrange(n)
+        l0 = sample(rng, range(h.num_edges), 1 + rng.randrange(8))
+        m = rng.choice([None, 1 + rng.randrange(h.rank() + 1)])
+        got = _outcome(build_priority_tree, h, root, l0, m)
+        assert got == _outcome(reference_build_priority_tree, h, root, l0, m)
+        u, v = rng.randrange(n), rng.randrange(n)
+        assert find_hyperpath(h, u, v) == reference_edge_path(
+            h, h.incident_edges[u], set(h.incident_edges[v]).__contains__
+        )
+        if not isinstance(got, PriorityTree):
+            overflows += got[0] is ClassOverflow
+            continue
+        assert vertex_equiv(got) == reference_vertex_equiv(got)
+        order, down = edge_order(got), reference_edge_order(got)
+        assert set(down) == set(order.carrier)
+        for f in order.carrier:
+            assert {e for e in order.carrier if order.leq(e, f)} == down[f]
+    assert overflows > 0
 
 
 # --- depth-first spanning trees ----------------------------------------------
