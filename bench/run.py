@@ -76,6 +76,20 @@ def priority_tree(n):
     return h, build_priority_tree(h)
 
 
+def dfst(n):
+    """The k = 4 hypergraph and its depth-first tree from vertex 0."""
+    h = hypergraph(n)
+    return h, spanning.build_dfst(h, 0)
+
+
+def aux_order_edges(ht):
+    """Every member pair of every edge compared under ``aux_order``, as
+    the suites' depth-first tree check does."""
+    h, tree = ht
+    order = spanning.aux_order(tree)
+    return all(order.comparable(u, v) for e in h.edges for u in e for v in e)
+
+
 def cli_run(argv):
     """One in-process command line, its report kept in memory."""
     code = cli.run(argv, io.StringIO())
@@ -102,6 +116,8 @@ CASES = {
         lambda h: sparsity.antisymmetric_orientation(h, 4),
     ),
     "build_dfst": (hypergraph, lambda h: spanning.build_dfst(h, 0)),
+    "validate_dfst": (dfst, lambda ht: spanning.validate_dfst(*ht)),
+    "aux_order_edges": (dfst, aux_order_edges),
     "edge_ordering": (hypergraph, spanning.edge_ordering),
     "dfst_orientation": (hypergraph, spanning.dfst_orientation),
     "build_priority_tree": (hypergraph, build_priority_tree),

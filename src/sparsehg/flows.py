@@ -70,7 +70,6 @@ class Flow:
             if key in self._values and self._values[key] != signed:
                 raise InvalidFlow(f"inconsistent mirror values on edge {key}")
             self._values[key] = signed
-        self._values = {k: v for k, v in self._values.items() if v != 0}
 
     def value(self, u: int, v: int) -> int:
         if u == v:

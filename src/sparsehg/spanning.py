@@ -507,6 +507,12 @@ class DepthFirstSpanningTree:
     ``nodes`` is the construction order (a linear extension of the tree
     order); ``attach_edges[v]`` is F_v, ``aux_sets[v]`` is A_v, and
     ``vertex_types[v]`` is ``("root", 0)`` or ``("succ", l)``.
+
+    Construction indexes ``nodes``, ``parent`` and ``aux_sets`` once:
+    each node's depth and preorder interval (Tarjan 1972), and each
+    vertex's owner, the last node whose auxiliary set holds it.  Change
+    a field by ``dataclasses.replace``, never in place.  A parent that
+    is not an earlier node is ``MalformedTree``.
     """
 
     hypergraph: Hypergraph
@@ -518,33 +524,47 @@ class DepthFirstSpanningTree:
     vertex_types: dict
 
     def __post_init__(self):
-        self._depth = {}
-        for v in self.nodes:
-            p = self.parent[v]
-            self._depth[v] = 0 if p is None else self._depth[p] + 1
+        nodes, parent = self.nodes, self.parent
+        depth: dict[int, int] = {}
+        for v in nodes:  # a node without a parent entry reads as its own
+            p = parent.get(v, v)
+            if p is not None and p not in depth:
+                raise MalformedTree(f"parent of {v} is not an earlier node")
+            depth[v] = 0 if p is None else depth[p] + 1
+        size = dict.fromkeys(nodes, 1)
+        for v in reversed(nodes):  # children before their parents
+            if parent[v] is not None:
+                size[parent[v]] += size[v]
+        pre: dict[int, int] = {}
+        end: dict[int, int] = {}
+        free: dict = {None: 0}  # next preorder number below a node, None: roots
+        for v in nodes:
+            p = parent[v]
+            pre[v] = free[p]
+            end[v] = free[p] = pre[v] + size[v]
+            free[v] = pre[v] + 1
+        owner: dict[int, int] = {}
+        for v in nodes:
+            for w in self.aux_sets[v]:
+                owner[w] = v
+        self._depth, self._pre, self._end, self._owner = depth, pre, end, owner
 
     def depth(self, v: int) -> int:
         return self._depth[v]
 
     def tree_leq(self, u: int, v: int) -> bool:
-        """u is an ancestor of v (or equal)."""
-        if u not in self._depth or v not in self._depth:
-            raise NotATreeNode(f"{u} or {v} is not a tree node")
-        while v is not None and self._depth.get(v, -1) > self._depth[u]:
-            v = self.parent[v]
-        return u == v
+        """u is an ancestor of v (or equal): v's preorder number lies in
+        u's subtree interval."""
+        try:
+            return self._pre[u] <= self._pre[v] < self._end[u]
+        except KeyError:
+            raise NotATreeNode(f"{u} or {v} is not a tree node") from None
 
     def is_chain(self, vs) -> bool:
         """The nodes lie on one path from the root: each is an ancestor of
         the next deeper one."""
-        depth = self._depth
-        vs = sorted(set(vs), key=depth.__getitem__)
-        for a, b in zip(vs, vs[1:]):
-            while depth[b] > depth[a]:
-                b = self.parent[b]
-            if a != b:
-                return False
-        return True
+        vs = sorted(set(vs), key=self._depth.__getitem__)
+        return all(self.tree_leq(a, b) for a, b in zip(vs, vs[1:]))
 
 
 def _grow_dfst(h: Hypergraph, root: int) -> DepthFirstSpanningTree:
@@ -618,26 +638,14 @@ def build_dfst(h: Hypergraph, root: int) -> DepthFirstSpanningTree:
     return _grow_dfst(h, root)
 
 
-def _recompute_aux(t: DepthFirstSpanningTree) -> dict:
-    aux: dict[int, frozenset] = {}
-    for v in t.nodes:
-        claimed: set[int] = set()
-        x = t.parent[v]
-        while x is not None:
-            claimed |= aux[x]
-            x = t.parent[x]
-        base = {v} | {w for e in t.attach_edges[v] for w in t.hypergraph.edges[e]}
-        aux[v] = frozenset(base - claimed)
-    return aux
-
-
 def b_set(t: DepthFirstSpanningTree, vertex_set):
-    """(B(X/T), beta): tree nodes whose auxiliary sets meet X, in tree
-    order, and the greatest one, present iff B is a nonempty chain."""
-    xs = set(vertex_set)
-    b = [v for v in t.nodes if t.aux_sets[v] & xs]
-    if b and t.is_chain(b):
-        return b, max(b, key=t.depth)
+    """(B(X/T), beta): the owners of X's members in preorder, which is
+    ``nodes`` order when B is a chain, and the greatest one, present iff
+    B is a nonempty chain."""
+    owner = t._owner
+    b = sorted({owner[w] for w in vertex_set if w in owner}, key=t._pre.__getitem__)
+    if b and all(t.tree_leq(x, y) for x, y in zip(b, b[1:])):
+        return b, b[-1]
     return b, None
 
 
@@ -646,15 +654,19 @@ def validate_dfst(h: Hypergraph, t: DepthFirstSpanningTree) -> list[str]:
     bad: list[str] = []
     node_set = set(t.nodes)
     for v in t.nodes:
-        p = t.parent.get(v, None)
-        if p is None:
-            if v != t.root:
-                bad.append(f"{v} has no parent but is not the root")
-        elif p not in node_set:
-            bad.append(f"parent of {v} is not a node")
-    recomputed = _recompute_aux(t)
+        if t.parent[v] is None and v != t.root:
+            bad.append(f"{v} has no parent but is not the root")
+    # A_v = ({v} | members of F_v) minus the formula sets of v's proper
+    # ancestors; claims[w] lists the nodes whose formula set holds w
+    claims: dict[int, list[int]] = {}
     for v in t.nodes:
-        if recomputed[v] != t.aux_sets[v]:
+        base = {v} | {w for e in t.attach_edges[v] for w in t.hypergraph.edges[e]}
+        formula = {
+            w for w in base if not any(t.tree_leq(x, v) for x in claims.get(w, ()))
+        }
+        for w in formula:
+            claims.setdefault(w, []).append(v)
+        if formula != t.aux_sets[v]:
             bad.append(f"A_{v} does not match its defining formula")
     seen: dict[int, int] = {}
     for v in t.nodes:
@@ -677,13 +689,14 @@ def validate_dfst(h: Hypergraph, t: DepthFirstSpanningTree) -> list[str]:
     roots = [v for v in t.nodes if t.vertex_types[v][0] == "root"]
     if roots != [t.root]:
         bad.append("root type must mark exactly the root")
+    levels = max(h.rank(), 1)
     for v in t.nodes:
         kind, level = t.vertex_types[v]
         if kind == "root":
             if t.attach_edges[v]:
                 bad.append(f"root {v} has attach edges")
         elif kind == "succ":
-            if not 0 <= level < max(h.rank(), 1):
+            if not 0 <= level < levels:
                 bad.append(f"type index {level} of {v} out of range")
             if len(t.attach_edges[v]) != 1:
                 bad.append(f"succ node {v} needs exactly one attach edge")
@@ -699,10 +712,8 @@ def validate_dfst(h: Hypergraph, t: DepthFirstSpanningTree) -> list[str]:
             ]
             if same != [v]:
                 bad.append(f"{v} is not the unique succ_{level} on its edge border")
-            rest = set(h.edges[e]) - {v}
-            b2, beta2 = b_set(t, rest)
-            b2 = [x for x in b2 if x != v]
-            beta2 = max(b2, key=t.depth) if b2 and t.is_chain(b2) else None
+            b2 = [x for x in b_set(t, set(h.edges[e]) - {v})[0] if x != v]
+            beta2 = b2[-1] if b2 and t.is_chain(b2) else None
             if beta2 != t.parent[v]:
                 bad.append(f"attach edge of {v} does not point at its parent")
         else:
@@ -710,22 +721,10 @@ def validate_dfst(h: Hypergraph, t: DepthFirstSpanningTree) -> list[str]:
     return bad
 
 
-def _owner_slots(t: DepthFirstSpanningTree) -> tuple[dict, dict]:
-    """Owning node and slot of every vertex; the slots number the
-    members of each auxiliary set in id order."""
-    owner: dict[int, int] = {}
-    slot: dict[int, int] = {}
-    for v in t.nodes:
-        for i, w in enumerate(sorted(t.aux_sets[v])):
-            owner[w] = v
-            slot[w] = i
-    return owner, slot
-
-
 def aux_preorder(t: DepthFirstSpanningTree) -> VertexOrder:
     """Preorder on all vertices: x below y iff x's owning node is a tree
     ancestor of y's; vertices owned by one node are equivalent."""
-    owner, _ = _owner_slots(t)
+    owner = t._owner
 
     def leq(x, y):
         return t.tree_leq(owner[x], owner[y])
@@ -735,13 +734,13 @@ def aux_preorder(t: DepthFirstSpanningTree) -> VertexOrder:
 
 def aux_order(t: DepthFirstSpanningTree) -> VertexOrder:
     """Partial order refining aux_preorder: inside one auxiliary set,
-    members are separated by their slots.  Linear on every vertex set
-    whose border is a chain, in particular on edges."""
-    owner, slot = _owner_slots(t)
+    members are ordered by id.  Linear on every vertex set whose border
+    is a chain, in particular on edges."""
+    owner = t._owner
 
     def leq(x, y):
         if owner[x] == owner[y]:
-            return slot[x] <= slot[y]
+            return x <= y
         return t.tree_leq(owner[x], owner[y])
 
     return VertexOrder(sorted(owner), leq, "partial")
@@ -755,14 +754,13 @@ def edge_ordering(h: Hypergraph) -> dict[int, tuple[int, ...]]:
     order of its component, rooted at the component's least vertex.
 
     The owners of an edge's members lie on one chain of the tree, so
-    sorting by (depth of owner, slot) gives the ``aux_order`` of the
+    sorting by (depth of owner, id) gives the ``aux_order`` of the
     component's tree."""
     key: dict[int, tuple[int, int]] = {}
     for comp in connected_components(h):
         tree = _grow_dfst(h, comp[0])
-        owner, slot = _owner_slots(tree)
-        for w, v in owner.items():
-            key[w] = (tree.depth(v), slot[w])
+        for w, v in tree._owner.items():
+            key[w] = (tree.depth(v), w)
     return {
         ei: tuple(sorted(members, key=key.__getitem__))
         for ei, members in enumerate(h.edges)

@@ -578,6 +578,22 @@ def test_validate_dfst_detects_corruption():
     assert validate_dfst(h, worse) != []
 
 
+@pytest.mark.parametrize(
+    "parent",
+    [
+        {0: None, 1: 0, 2: 1, 3: 99},  # not a node
+        {0: None, 1: 3, 2: 1, 3: 2},  # a node listed after its child
+        {0: None, 1: 0, 3: 2},  # no entry for node 2
+    ],
+)
+def test_dfst_refuses_malformed_parent_map(parent):
+    h = Hypergraph(list("abcd"), [(0, 1), (1, 2), (2, 3)])
+    t = build_dfst(h, 0)
+    assert t.nodes == (0, 1, 2, 3)
+    with pytest.raises(MalformedTree):
+        dataclasses.replace(t, parent=parent)
+
+
 def test_validate_dfst_rejects_limit_node():
     # build_dfst never makes a limit node; a tampered one is an unknown type
     h = Hypergraph(list("abcd"), [(0, 1), (1, 2), (2, 3)])
@@ -585,6 +601,188 @@ def test_validate_dfst_rejects_limit_node():
     v = t.nodes[1]
     limit = dataclasses.replace(t, vertex_types={**t.vertex_types, v: ("limit", 0)})
     assert f"unknown type 'limit' on {v}" in validate_dfst(h, limit)
+
+
+def reference_tree_leq(t: DepthFirstSpanningTree, u: int, v: int) -> bool:
+    """u is on the parent walk from v."""
+    while v is not None and t.depth(v) > t.depth(u):
+        v = t.parent[v]
+    return u == v
+
+
+def reference_is_chain(t: DepthFirstSpanningTree, vs) -> bool:
+    vs = sorted(set(vs), key=t.depth)
+    for a, b in zip(vs, vs[1:]):
+        while t.depth(b) > t.depth(a):
+            b = t.parent[b]
+        if a != b:
+            return False
+    return True
+
+
+def reference_b_set(t: DepthFirstSpanningTree, vertex_set):
+    """Every node whose auxiliary set meets X, in ``nodes`` order."""
+    xs = set(vertex_set)
+    b = [v for v in t.nodes if t.aux_sets[v] & xs]
+    if b and reference_is_chain(t, b):
+        return b, max(b, key=t.depth)
+    return b, None
+
+
+def reference_recompute_aux(t: DepthFirstSpanningTree) -> dict:
+    aux: dict[int, frozenset] = {}
+    for v in t.nodes:
+        claimed: set[int] = set()
+        x = t.parent[v]
+        while x is not None:
+            claimed |= aux[x]
+            x = t.parent[x]
+        base = {v} | {w for e in t.attach_edges[v] for w in t.hypergraph.edges[e]}
+        aux[v] = frozenset(base - claimed)
+    return aux
+
+
+def reference_validate_dfst(h: Hypergraph, t: DepthFirstSpanningTree) -> list[str]:
+    """The checker by parent walks, with every defining formula
+    recomputed from the root path's unions."""
+    bad: list[str] = []
+    node_set = set(t.nodes)
+    for v in t.nodes:
+        if t.parent[v] is None and v != t.root:
+            bad.append(f"{v} has no parent but is not the root")
+    recomputed = reference_recompute_aux(t)
+    for v in t.nodes:
+        if recomputed[v] != t.aux_sets[v]:
+            bad.append(f"A_{v} does not match its defining formula")
+    seen: dict[int, int] = {}
+    for v in t.nodes:
+        if v not in t.aux_sets[v]:
+            bad.append(f"{v} missing from A_{v}")
+        for w in t.aux_sets[v]:
+            if w in seen:
+                bad.append(f"auxiliary sets of {seen[w]} and {v} overlap at {w}")
+            seen[w] = v
+        if t.aux_sets[v] & node_set != {v}:
+            bad.append(f"A_{v} meets the tree outside {v}")
+    if set(seen) != set(range(h.num_vertices)):
+        bad.append("auxiliary sets do not cover the vertex set")
+    for ei in range(h.num_edges):
+        b, beta = reference_b_set(t, h.edges[ei])
+        if not b:
+            bad.append(f"edge {ei} has empty border")
+        elif beta is None:
+            bad.append(f"border of edge {ei} is not a chain")
+    roots = [v for v in t.nodes if t.vertex_types[v][0] == "root"]
+    if roots != [t.root]:
+        bad.append("root type must mark exactly the root")
+    levels = max(h.rank(), 1)
+    for v in t.nodes:
+        kind, level = t.vertex_types[v]
+        if kind == "root":
+            if t.attach_edges[v]:
+                bad.append(f"root {v} has attach edges")
+        elif kind == "succ":
+            if not 0 <= level < levels:
+                bad.append(f"type index {level} of {v} out of range")
+            if len(t.attach_edges[v]) != 1:
+                bad.append(f"succ node {v} needs exactly one attach edge")
+                continue
+            (e,) = t.attach_edges[v]
+            if v not in h.edges[e]:
+                bad.append(f"succ node {v} not on its attach edge")
+            b, _ = reference_b_set(t, h.edges[e])
+            same = [x for x in b if t.vertex_types[x] == ("succ", level)]
+            if same != [v]:
+                bad.append(f"{v} is not the unique succ_{level} on its edge border")
+            rest = set(h.edges[e]) - {v}
+            b2, beta2 = reference_b_set(t, rest)
+            b2 = [x for x in b2 if x != v]
+            beta2 = max(b2, key=t.depth) if b2 and reference_is_chain(t, b2) else None
+            if beta2 != t.parent[v]:
+                bad.append(f"attach edge of {v} does not point at its parent")
+        else:
+            bad.append(f"unknown type {kind!r} on {v}")
+    return bad
+
+
+def dfst_mutants(rng, h: Hypergraph, t: DepthFirstSpanningTree) -> dict:
+    """One corrupted copy of the tree per kind that the tree admits."""
+    aux, nodes = t.aux_sets, t.nodes
+    owner = {w: v for v in nodes for w in aux[v]}
+    succ = nodes[1:]
+    mutants = {}
+    if len(nodes) > 2:
+        i = 2 + rng.randrange(len(nodes) - 2)
+        moved = [u for u in nodes[:i] if u != t.parent[nodes[i]]]
+        mutants["parent"] = {"parent": {**t.parent, nodes[i]: rng.choice(moved)}}
+    spare = [w for w in sorted(owner) if w != owner[w]]
+    if spare and len(nodes) > 1:
+        w = rng.choice(spare)
+        x = rng.choice([v for v in nodes if v != owner[w]])
+        mutants["moved"] = {
+            "aux_sets": {**aux, owner[w]: aux[owner[w]] - {w}, x: aux[x] | {w}}
+        }
+    x = rng.choice(nodes)
+    mutants["dropped"] = {"aux_sets": {**aux, x: aux[x] - {rng.choice(sorted(aux[x]))}}}
+    if len(nodes) > 1:
+        x = rng.choice(nodes)
+        w = rng.choice([w for w in sorted(owner) if owner[w] != x])
+        mutants["overlap"] = {"aux_sets": {**aux, x: aux[x] | {w}}}
+        v = rng.choice(succ)
+        _, level = t.vertex_types[v]
+        other = rng.choice([l for l in range(h.rank() + 1) if l != level])
+        mutants["type"] = {"vertex_types": {**t.vertex_types, v: ("succ", other)}}
+    if len(nodes) > 1 and h.num_edges > 1:
+        v = rng.choice(succ)
+        (e,) = t.attach_edges[v]
+        f = rng.choice([f for f in range(h.num_edges) if f != e])
+        mutants["attach"] = {"attach_edges": {**t.attach_edges, v: frozenset([f])}}
+    return {kind: dataclasses.replace(t, **fields) for kind, fields in mutants.items()}
+
+
+LOOSE = ("overlap at", "defining formula", "meets the tree outside")
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_validate_dfst_matches_reference(block):
+    # 300 trees per block, 3,000 in all, n <= 32 with a random root, and
+    # up to six mutants of each.  An added overlapping member leaves each
+    # vertex one owner, so the borders may then lose nodes: the lists
+    # agree up to and including the first overlap, formula or
+    # meets-the-tree line
+    for seed in range(300 * block, 300 * (block + 1)):
+        rng = rng_for(seed, 26)
+        n = 1 + rng.randrange(32)
+        h = random_connected_hypergraph(rng, n, 2 + rng.randrange(4), rng.randrange(2 * n))
+        t = build_dfst(h, rng.randrange(n))
+        assert validate_dfst(h, t) == reference_validate_dfst(h, t) == []
+        mutants = dfst_mutants(rng, h, t)
+        for kind, bad in mutants.items():
+            got, want = validate_dfst(h, bad), reference_validate_dfst(h, bad)
+            if kind != "overlap":
+                assert got == want, kind
+                continue
+            assert got[:1] == want[:1] != []
+            cut = next(
+                (i for i, line in enumerate(want) if any(s in line for s in LOOSE)),
+                len(want),
+            )
+            assert got[: cut + 1] == want[: cut + 1]
+        # ancestry, chains and borders against the parent walk, on the
+        # tree and on its moved parent
+        for tree in [t] + [mutants[k] for k in ("parent",) if k in mutants]:
+            nodes = tree.nodes
+            for _ in range(10):
+                u, v = rng.choice(nodes), rng.choice(nodes)
+                assert tree.tree_leq(u, v) == reference_tree_leq(tree, u, v)
+                vs = sample(rng, nodes, 1 + rng.randrange(min(4, len(nodes))))
+                assert tree.is_chain(vs) == reference_is_chain(tree, vs)
+                xs = sample(rng, range(n), 1 + rng.randrange(min(5, n)))
+                b, beta = b_set(tree, xs)
+                want_b, want_beta = reference_b_set(tree, xs)
+                assert (set(b), beta) == (set(want_b), want_beta)
+                if beta is not None:
+                    assert b == want_b
 
 
 def test_aux_orders():
