@@ -36,7 +36,7 @@ HERE = Path(__file__).resolve().parent
 WORK = HERE / "work"
 sys.path.insert(0, str(HERE.parent / "src"))
 
-from sparsehg import cli, core, flows, generators, sparsity, spanning  # noqa: E402
+from sparsehg import cli, core, encoding, flows, generators, sparsity, spanning  # noqa: E402
 
 SIZES = (100, 200, 400, 800, 1600, 3200)
 RUNS = 5
@@ -107,6 +107,30 @@ def distribution_input(n):
     return g, generators.random_sparse_distribution(generators.rng_for(8, n), g, 2)
 
 
+def mixed_flow(n):
+    """The k = 2 graph, its distribution, and the delta-flow plus n/10
+    random circulations, the mix that ``suite pipeline`` cancels."""
+    g, d = distribution_input(n)
+    f = flows.compute_delta_flow(g, d, 2)
+    circ = generators.random_circulation(generators.rng_for(9, n), g, n // 10)
+    keys = set(dict(f.items())) | set(dict(circ.items()))
+    return g, d, flows.Flow(g, {key: f.value(*key) + circ.value(*key) for key in keys})
+
+
+def acyclic_flow(n):
+    """The k = 2 graph, its distribution, and the mixed flow with its
+    cycles cancelled."""
+    g, d, mixed = mixed_flow(n)
+    return g, d, flows.cancel_cycles(mixed)
+
+
+def set_function_input(n):
+    """The k = 2 graph and a random set function whose distribution is
+    2-sparse."""
+    g = graph(n)
+    return g, generators.random_set_function(generators.rng_for(10, n), g, 2)
+
+
 # name -> (input builder, operation on that input)
 CASES = {
     "is_k_sparse": (hypergraph, lambda h: sparsity.is_k_sparse(h, 4)),
@@ -136,6 +160,16 @@ CASES = {
     "compute_delta_flow": (
         distribution_input,
         lambda gd: flows.compute_delta_flow(gd[0], gd[1], 2),
+    ),
+    "cancel_cycles": (mixed_flow, lambda gdf: flows.cancel_cycles(gdf[2])),
+    "decompose_flow_paths": (
+        acyclic_flow,
+        lambda gdf: flows.decompose_flow_paths(gdf[0], gdf[2], gdf[1]),
+    ),
+    "spanning_forest": (graph, encoding.spanning_forest),
+    "refine_to_injective": (
+        set_function_input,
+        lambda gh: encoding.refine_to_injective(gh[0], gh[1], 2),
     ),
     "parse_hypergraph": (hypergraph_text, lambda ht: core.parse_hypergraph(ht[1])),
     # end to end: argv and input file to report

@@ -44,10 +44,10 @@ class Hypergraph:
     """
 
     def __init__(self, vertex_labels, edges, edge_labels=None):
-        self.vertex_labels = tuple(_check_label(l) for l in vertex_labels)
-        if len(set(self.vertex_labels)) != len(self.vertex_labels):
+        vertex_labels = tuple(_check_label(l) for l in vertex_labels)
+        if len(set(vertex_labels)) != len(vertex_labels):
             raise DuplicateLabel("duplicate vertex label")
-        n = len(self.vertex_labels)
+        n = len(vertex_labels)
         normalized = []
         for members in edges:
             members = tuple(sorted(members))
@@ -58,15 +58,29 @@ class Hypergraph:
             if members[0] < 0 or members[-1] >= n:
                 raise UndeclaredVertex(f"edge {members} uses an unknown vertex")
             normalized.append(members)
-        self.edges = tuple(normalized)
+        if edge_labels is not None:
+            edge_labels = tuple(_check_label(l) for l in edge_labels)
+            if len(edge_labels) != len(normalized):
+                raise ParseError("edge label count mismatch")
+            if len(set(edge_labels)) != len(edge_labels):
+                raise DuplicateLabel("duplicate edge label")
+        self._fill(vertex_labels, normalized, edge_labels)
+
+    @classmethod
+    def _from_valid(cls, vertex_labels, edges, edge_labels=None):
+        """``cls(...)`` without its checks, for data valid by construction."""
+        h = cls.__new__(cls)
+        h._fill(vertex_labels, [tuple(sorted(members)) for members in edges], edge_labels)
+        return h
+
+    def _fill(self, vertex_labels, edges, edge_labels) -> None:
+        """Store valid fields (edges sorted) and index the incidences."""
+        self.vertex_labels = tuple(vertex_labels)
+        self.edges = tuple(edges)
         if edge_labels is None:
             edge_labels = [str(i) for i in range(len(self.edges))]
-        self.edge_labels = tuple(_check_label(l) for l in edge_labels)
-        if len(self.edge_labels) != len(self.edges):
-            raise ParseError("edge label count mismatch")
-        if len(set(self.edge_labels)) != len(self.edge_labels):
-            raise DuplicateLabel("duplicate edge label")
-        incidence = [[] for _ in range(n)]
+        self.edge_labels = tuple(edge_labels)
+        incidence = [[] for _ in self.vertex_labels]
         for ei, members in enumerate(self.edges):
             for v in members:
                 incidence[v].append(ei)
@@ -117,8 +131,8 @@ class UndirectedGraph(Hypergraph):
     """Hypergraph specialization: every edge has exactly two vertices,
     no loops, no parallel edges."""
 
-    def __init__(self, vertex_labels, edges, edge_labels=None):
-        super().__init__(vertex_labels, edges, edge_labels)
+    def _fill(self, vertex_labels, edges, edge_labels) -> None:
+        super()._fill(vertex_labels, edges, edge_labels)
         self._index_pairs()
 
     def _index_pairs(self) -> None:
@@ -287,24 +301,23 @@ def _vertex_ids(lookup, labels, line: int | None = None) -> list[int]:
 
 def parse_hypergraph(text: str) -> Hypergraph:
     vertex_ids: dict[str, int] = {}
-    edge_labels: list[str] = []
-    edge_label_set: set[str] = set()
-    edges: list[tuple[int, ...]] = []
+    edge_labels: dict[str, None] = {}  # in declaration order
+    edges: list[list[int]] = []
     for lineno, tokens in _declarations(text, vertex_ids, "e"):
         if len(tokens) < 3:
             raise ParseError("expected: e <label> <v1> ...", line=lineno)
         label = tokens[1]
-        if label in edge_label_set:
+        if label in edge_labels:
             raise DuplicateLabel(f"edge {label!r} declared twice", line=lineno)
         members = _vertex_ids(vertex_ids.__getitem__, tokens[2:], lineno)
         if len(set(members)) != len(members):
             raise DuplicateVertexInEdge(
                 f"edge {label!r} repeats a vertex", line=lineno
             )
-        edge_label_set.add(label)
-        edge_labels.append(label)
-        edges.append(tuple(members))
-    return Hypergraph(list(vertex_ids), edges, edge_labels)
+        edge_labels[label] = None
+        edges.append(members)
+    # labels are whitespace-free tokens and every edge is checked
+    return Hypergraph._from_valid(vertex_ids, edges, edge_labels)
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:
@@ -364,7 +377,7 @@ def induced_subhypergraph(h: Hypergraph, vertex_set) -> Hypergraph:
         if all(v in inside for v in members):
             edges.append(tuple(new_id[v] for v in members))
             edge_labels.append(h.edge_labels[ei])
-    return Hypergraph([h.vertex_labels[v] for v in keep], edges, edge_labels)
+    return Hypergraph._from_valid([h.vertex_labels[v] for v in keep], edges, edge_labels)
 
 
 def connected_components(h: Hypergraph) -> list[list[int]]:

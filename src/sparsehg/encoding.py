@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DirectedGraph, UndirectedGraph, _content_lines, _vertex_ids, connected_components
+from .core import UndirectedGraph, _content_lines, _vertex_ids, connected_components
 from .errors import ParseError
 from .flows import compute_delta_flow, function_from_flow, induced_distribution
-from .spanning import neighbourhood_ordering
 
 
 @dataclass(frozen=True)
@@ -68,9 +67,12 @@ class LexContext:
 
 
 def spanning_forest(g: UndirectedGraph) -> LexContext:
-    """Breadth-first forest, one root (least id) per component; children
-    are ordered by the neighbourhood ordering of the child-to-parent
-    digraph, tying the order to the graph itself rather than to ids."""
+    """Breadth-first forest over the sorted ``adjacency``, one root
+    (least id) per component; children are in id order.  That is the
+    neighbourhood ordering of the child-to-parent digraph: its
+    in-neighbourhoods, the children sets, are disjoint, so each is a
+    one-edge component whose edge ordering puts its least member first
+    and the rest, owned by one depth-1 node, after it by id."""
     parent: dict[int, int | None] = {}
     children: dict[int, list[int]] = {v: [] for v in g.vertices()}
     roots = []
@@ -90,12 +92,6 @@ def spanning_forest(g: UndirectedGraph) -> LexContext:
                     children[u].append(w)
                     forest_edges.append(g.edge_between(u, w))
                     queue.append(w)
-    arcs = [(v, p) for v, p in parent.items() if p is not None]
-    ordered = neighbourhood_ordering(DirectedGraph(g.vertex_labels, arcs))
-    for u in g.vertices():
-        if children[u]:
-            assert sorted(ordered[u]) == sorted(children[u])
-            children[u] = list(ordered[u])
     keys: dict[int, tuple] = {}
     for root in roots:
         stack = [(root, (root,))]
@@ -162,9 +158,12 @@ def refine_to_injective(
     for u, v in sorted(gmap.items()):
         slots.setdefault(v, []).append(u)
     ctx = spanning_forest(g)
+    preimages: dict[int, list[frozenset]] = {}  # h.preimage(v) for every image v
+    for xs, v in h.entries:
+        preimages.setdefault(v, []).append(xs)
     new_image: dict[frozenset, int] = {}
-    for v in sorted(set(w for _, w in h.entries)):
-        ranked = sort_sets(ctx, h.preimage(v))
+    for v in sorted(preimages):
+        ranked = sort_sets(ctx, preimages[v])
         assert len(ranked) == len(slots[v])
         for i, xs in enumerate(ranked):
             new_image[xs] = slots[v][i]

@@ -71,6 +71,13 @@ class Flow:
                 raise InvalidFlow(f"inconsistent mirror values on edge {key}")
             self._values[key] = signed
 
+    @classmethod
+    def _from_valid(cls, graph: UndirectedGraph, values: dict) -> Flow:
+        """Nonzero ``values`` on edges (u, v), u < v, without checks."""
+        f = cls.__new__(cls)
+        f.graph, f._values = graph, values
+        return f
+
     def value(self, u: int, v: int) -> int:
         if u == v:
             return 0
@@ -220,10 +227,8 @@ def compute_delta_flow(g: UndirectedGraph, d, k: int) -> Flow:
         raise NotSparseDistribution(
             f"distribution is not {k}-sparse", witness=witness
         )
-    values = {}
-    for ei, (u, v) in enumerate(g.edges):
-        values[(u, v)] = net.flow_on(forward[ei]) - net.flow_on(backward[ei])
-    f = Flow(g, values)
+    values = (net.flow_on(a) - net.flow_on(b) for a, b in zip(forward, backward))
+    f = Flow._from_valid(g, {edge: val for edge, val in zip(g.edges, values) if val})
     assert check_delta_flow(f, d)
     edge_bound, vertex_bound = bounds(f)
     assert edge_bound <= k
@@ -232,59 +237,72 @@ def compute_delta_flow(g: UndirectedGraph, d, k: int) -> Flow:
     return f
 
 
+def _arc_values(f: Flow) -> list[dict[int, int]]:
+    """value[u][w] = f(u, w) on the support of f."""
+    value: list[dict[int, int]] = [{} for _ in f.graph.vertices()]
+    for (u, w), val in f._values.items():
+        value[u][w], value[w][u] = val, -val
+    return value
+
+
+def _positive_cycles(g: UndirectedGraph, value):
+    """Least-id depth-first search over the arcs u -> w with
+    value[u][w] > 0, yielding the stack w .. u of each cycle such an arc
+    closes.  The caller may lower values along it; the search then
+    unwinds to w, marks the unwound vertices unvisited, enters w afresh."""
+    state = [0] * g.num_vertices  # 0 unvisited, 1 on the stack, 2 finished
+    for start in g.vertices():
+        if state[start]:
+            continue
+        state[start] = 1
+        stack, scans = [start], [iter(g.adjacency[start])]
+        while stack:
+            u = stack[-1]
+            for w in scans[-1]:
+                if value[u].get(w, 0) <= 0 or state[w] == 2:
+                    continue
+                if state[w] == 1:
+                    i = stack.index(w)
+                    yield stack[i:]
+                    for x in stack[i:]:
+                        state[x] = 0
+                    del stack[i:], scans[i:]
+                state[w] = 1
+                stack.append(w)
+                scans.append(iter(g.adjacency[w]))
+                break
+            else:
+                state[u] = 2
+                stack.pop()
+                scans.pop()
+
+
 def _find_positive_cycle(f: Flow):
     """Least-id depth-first search for a cycle of positive-flow arcs."""
-    g = f.graph
-    color = {v: 0 for v in g.vertices()}  # 0 white, 1 on stack, 2 done
-    for start in g.vertices():
-        if color[start] != 0:
-            continue
-        stack = [(start, iter(g.adjacency[start]))]
-        color[start] = 1
-        on_path = [start]
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for w in it:
-                if f.value(u, w) <= 0:
-                    continue
-                if color[w] == 1:
-                    return on_path[on_path.index(w) :]
-                if color[w] == 0:
-                    color[w] = 1
-                    on_path.append(w)
-                    stack.append((w, iter(g.adjacency[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[u] = 2
-                on_path.pop()
-                stack.pop()
-    return None
+    return next(_positive_cycles(f.graph, _arc_values(f)), None)
 
 
 def cancel_cycles(f: Flow) -> Flow:
     """Subtract the minimum value around positive cycles until acyclic.
 
+    One search of ``_positive_cycles`` meets the cycles that a
+    ``_find_positive_cycle`` restarted after each cancellation would.
+    After cancelling w .. u it rescans w's arcs from the first, which is
+    where a restarted search would be: cancelling only lowers values
+    along the cycle, so no arc becomes positive; the vertices finished
+    before still reach no cycle; the stack below w is untouched.
+
     The defect is unchanged at every vertex and neither bound grows."""
-    values = {key: val for key, val in f.items()}
-    current = Flow(f.graph, values)
-    while True:
-        cycle = _find_positive_cycle(current)
-        if cycle is None:
-            break
-        closed = cycle + [cycle[0]]
-        c = min(
-            current.value(closed[i], closed[i + 1])
-            for i in range(len(cycle))
-        )
-        assert c > 0
-        updates = dict(current.items())
-        for i in range(len(cycle)):
-            u, v = closed[i], closed[i + 1]
-            key, sign = ((u, v), 1) if u < v else ((v, u), -1)
-            updates[key] = updates.get(key, 0) - sign * c
-        current = Flow(f.graph, updates)
+    g = f.graph
+    value = _arc_values(f)
+    for cycle in _positive_cycles(g, value):
+        arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
+        c = min(value[a][b] for a, b in arcs)
+        for a, b in arcs:
+            value[a][b] -= c
+            value[b][a] += c
+    support = {(u, w): x for u in g.vertices() for w, x in value[u].items() if u < w and x}
+    current = Flow._from_valid(g, support)
     assert defect(current) == defect(f)
     old_bounds = bounds(f)
     new_bounds = bounds(current)
@@ -326,22 +344,27 @@ def decompose_flow_paths(g: UndirectedGraph, f: Flow, d) -> PathFamily:
     if _find_positive_cycle(f) is not None:
         raise InvalidFlow("flow has a positive cycle")
     n = g.num_vertices
+    # no arc of u before g.adjacency[u][first[u]] has flow left; flow is
+    # only used up, so first[u] never moves back
+    first = [0] * n
     beta = [0] * n
     mu: dict[tuple[int, int], int] = {}
     paths = []
     for v in range(n):
         for _ in range(d[v]):
             path = [v]
+            on_path = {v}
             u = v
             while beta[u] != 0:
-                nxt = None
-                for w in g.adjacency[u]:
-                    if f.value(u, w) > mu.get((u, w), 0):
-                        nxt = w
-                        break
-                assert nxt is not None, "path cannot continue"
+                arcs, i = g.adjacency[u], first[u]
+                while i < len(arcs) and f.value(u, arcs[i]) <= mu.get((u, arcs[i]), 0):
+                    i += 1
+                assert i < len(arcs), "path cannot continue"
+                first[u] = i
+                nxt = arcs[i]
                 mu[(u, nxt)] = mu.get((u, nxt), 0) + 1
-                assert nxt not in path, "path revisits a vertex"
+                assert nxt not in on_path, "path revisits a vertex"
+                on_path.add(nxt)
                 path.append(nxt)
                 u = nxt
             beta[u] = 1

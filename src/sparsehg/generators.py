@@ -50,7 +50,7 @@ def random_hypergraph(
     for _ in range(num_edges):
         size = rng.randrange(1, min(max_rank, n) + 1)
         edges.append(tuple(sorted(sample(rng, range(n), size))))
-    return Hypergraph(_vertex_labels(n), edges)
+    return Hypergraph._from_valid(_vertex_labels(n), edges)
 
 
 def random_connected_hypergraph(
@@ -69,7 +69,7 @@ def random_connected_hypergraph(
     for _ in range(extra_edges):
         size = rng.randrange(1, min(max_rank, n) + 1)
         edges.append(tuple(sorted(sample(rng, range(n), size))))
-    h = Hypergraph(_vertex_labels(n), edges)
+    h = Hypergraph._from_valid(_vertex_labels(n), edges)
     assert n <= 1 or is_connected(h)
     return h
 
@@ -90,7 +90,7 @@ def random_graph_max_degree(
             degree[u] += 1
             degree[v] += 1
             edges.append((u, v))
-    return UndirectedGraph(_vertex_labels(n), sorted(edges))
+    return UndirectedGraph._from_valid(_vertex_labels(n), sorted(edges))
 
 
 def random_connected_graph(
@@ -110,7 +110,7 @@ def random_connected_graph(
     ]
     for pair in sample(rng, candidates, min(extra_edges, len(candidates))):
         edge_set.add(pair)
-    return UndirectedGraph(_vertex_labels(n), sorted(edge_set))
+    return UndirectedGraph._from_valid(_vertex_labels(n), sorted(edge_set))
 
 
 def grid_graph(rows: int, cols: int) -> UndirectedGraph:
@@ -124,7 +124,7 @@ def grid_graph(rows: int, cols: int) -> UndirectedGraph:
                 edges.append((v, v + 1))
             if r + 1 < rows:
                 edges.append((v, v + cols))
-    return UndirectedGraph(_vertex_labels(n), sorted(edges))
+    return UndirectedGraph._from_valid(_vertex_labels(n), sorted(edges))
 
 
 def random_sparse_distribution(

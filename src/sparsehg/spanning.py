@@ -511,8 +511,8 @@ class DepthFirstSpanningTree:
     Construction indexes ``nodes``, ``parent`` and ``aux_sets`` once:
     each node's depth and preorder interval (Tarjan 1972), and each
     vertex's owner, the last node whose auxiliary set holds it.  Change
-    a field by ``dataclasses.replace``, never in place.  A parent that
-    is not an earlier node is ``MalformedTree``.
+    a field by ``dataclasses.replace``, never in place.  A node listed
+    twice, or a parent that is not an earlier node, is ``MalformedTree``.
     """
 
     hypergraph: Hypergraph
@@ -527,6 +527,8 @@ class DepthFirstSpanningTree:
         nodes, parent = self.nodes, self.parent
         depth: dict[int, int] = {}
         for v in nodes:  # a node without a parent entry reads as its own
+            if v in depth:
+                raise MalformedTree(f"node {v} is listed twice")
             p = parent.get(v, v)
             if p is not None and p not in depth:
                 raise MalformedTree(f"parent of {v} is not an earlier node")
@@ -787,7 +789,7 @@ def neighbourhood_ordering(g: DirectedGraph) -> dict[int, tuple[int, ...]]:
         if ns and ns not in index:
             index[ns] = len(distinct)
             distinct.append(ns)
-    hyper = Hypergraph(g.vertex_labels, distinct)
+    hyper = Hypergraph._from_valid(g.vertex_labels, distinct)
     ordering = edge_ordering(hyper)
     return {
         v: (ordering[index[g.in_neighbours[v]]] if g.in_neighbours[v] else ())

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,7 +29,15 @@ from sparsehg.errors import (
     ParseError,
     UndeclaredVertex,
 )
-from sparsehg.generators import random_connected_graph, random_hypergraph, rng_for
+from sparsehg.generators import (
+    grid_graph,
+    random_connected_graph,
+    random_connected_hypergraph,
+    random_graph_max_degree,
+    random_hypergraph,
+    rng_for,
+    shuffled,
+)
 
 
 def triangle() -> Hypergraph:
@@ -237,3 +246,90 @@ def test_components_partition_property(seed):
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     for e in h.edges:
         assert len({comp_of[v] for v in e}) <= 1
+
+
+# --- the unchecked constructor ----------------------------------------------------
+
+
+def assert_same_hypergraph(got: Hypergraph, want: Hypergraph) -> None:
+    assert type(got) is type(want)
+    assert got == want
+    assert got.incident_edges == want.incident_edges
+    if isinstance(want, UndirectedGraph):
+        assert got.adjacency == want.adjacency
+        assert got._edge_by_pair == want._edge_by_pair
+
+
+def declared(text: str):
+    """(vertex labels, edges as declared, edge labels) of a valid
+    hypergraph text, read without the library."""
+    labels, edges, edge_labels = [], [], []
+    for raw in text.splitlines():
+        tokens = raw.split("#", 1)[0].split()
+        if tokens and tokens[0] == "v":
+            labels.append(tokens[1])
+        elif tokens:
+            edge_labels.append(tokens[1])
+            edges.append(tokens[2:])
+    ids = {label: i for i, label in enumerate(labels)}
+    return labels, [[ids[x] for x in e] for e in edges], edge_labels
+
+
+def assert_constructors_agree(text: str) -> None:
+    args = declared(text)
+    want = Hypergraph(*args)
+    assert_same_hypergraph(parse_hypergraph(text), want)
+    assert_same_hypergraph(Hypergraph._from_valid(*args), want)
+    try:
+        graph = UndirectedGraph(*args)
+    except NotAGraph:
+        return
+    assert_same_hypergraph(UndirectedGraph._from_valid(*args), graph)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_unchecked_constructor_matches_hypergraph_on_golden_inputs():
+    parsed = []
+    for path in sorted(GOLDEN.glob("*.hg")):
+        text = path.read_text(encoding="utf-8")
+        try:
+            parse_hypergraph(text)
+        except ParseError:
+            continue
+        assert_constructors_agree(text)
+        parsed.append(path.name)
+    assert len(parsed) >= 8
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_unchecked_constructor_matches_hypergraph_on_random_texts(seed):
+    # random labels, edges listed with their members shuffled; rank 2
+    # often makes a graph
+    rng = rng_for(seed, 5)
+    n = rng.randrange(1, 15)
+    h = random_hypergraph(rng, n, 1 + rng.randrange(4), rng.randrange(3 * n))
+    labels = shuffled(rng, [f"x{i}" for i in range(n)])
+    lines = [f"v {label}" for label in labels]
+    for ei, members in enumerate(shuffled(rng, h.edges)):
+        names = " ".join(labels[v] for v in shuffled(rng, members))
+        lines.append(f"e y{ei} {names}  # edge {ei}")
+    assert_constructors_agree("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_unchecked_constructor_matches_hypergraph_on_generator_outputs(seed):
+    rng = rng_for(seed, 6)
+    n = 1 + rng.randrange(30)
+    outputs = [
+        random_hypergraph(rng, n, 4, 2 * n),
+        random_connected_hypergraph(rng, n, 4, n),
+        random_graph_max_degree(rng, n, 3),
+        random_connected_graph(rng, n, n),
+        grid_graph(1 + seed % 4, 1 + seed % 5),
+    ]
+    inside = [v for v in range(n) if rng.randrange(2)]
+    outputs.append(induced_subhypergraph(outputs[0], inside))
+    for x in outputs:
+        assert_same_hypergraph(x, type(x)(x.vertex_labels, x.edges, x.edge_labels))

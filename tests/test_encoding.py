@@ -5,7 +5,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsehg.core import UndirectedGraph
+from sparsehg.core import DirectedGraph, UndirectedGraph
 from sparsehg.errors import (
     NotSparseDistribution,
     ParseError,
@@ -26,9 +26,11 @@ from sparsehg.encoding import (
 from sparsehg.flows import induced_distribution
 from sparsehg.generators import (
     random_connected_graph,
+    random_graph_max_degree,
     random_set_function,
     rng_for,
 )
+from sparsehg.spanning import neighbourhood_ordering
 
 
 def k2() -> UndirectedGraph:
@@ -64,6 +66,46 @@ def test_spanning_forest_components_incomparable():
     assert ctx.roots == (0, 2)
     assert not ctx.tree_leq(0, 2) and not ctx.tree_leq(2, 0)
     assert vertex_lex_order(ctx, 1, 2) == -1  # first component first
+
+
+def reference_forest_children(g: UndirectedGraph) -> dict:
+    """The replaced route: children in breadth-first discovery order,
+    re-ordered by the neighbourhood ordering of the child-to-parent
+    digraph."""
+    parent = {}
+    children = {v: [] for v in g.vertices()}
+    for root in g.vertices():
+        if root in parent:
+            continue
+        parent[root] = None
+        queue = [root]
+        for u in queue:
+            for w in g.adjacency[u]:
+                if w not in parent:
+                    parent[w] = u
+                    children[u].append(w)
+                    queue.append(w)
+    arcs = [(v, p) for v, p in parent.items() if p is not None]
+    ordered = neighbourhood_ordering(DirectedGraph(g.vertex_labels, arcs))
+    for u in g.vertices():
+        if children[u]:
+            assert sorted(ordered[u]) == sorted(children[u])
+            children[u] = list(ordered[u])
+    return {u: tuple(cs) for u, cs in children.items()}
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_spanning_forest_children_match_neighbourhood_ordering(seed):
+    rng = rng_for(seed, 91)
+    n = 1 + rng.randrange(40)
+    family = seed % 3
+    if family == 0:
+        g = random_connected_graph(rng, n, rng.randrange(2 * n))
+    elif family == 1:  # often disconnected
+        g = random_graph_max_degree(rng, n, 1 + rng.randrange(4))
+    else:
+        g = UndirectedGraph([f"v{i}" for i in range(n)], [])
+    assert spanning_forest(g).children == reference_forest_children(g)
 
 
 def test_vertex_lex_order_path():

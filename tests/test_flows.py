@@ -17,6 +17,8 @@ from sparsehg.errors import (
 )
 from sparsehg.flows import (
     Flow,
+    PathFamily,
+    _find_positive_cycle,
     border,
     bounds,
     cancel_cycles,
@@ -337,6 +339,134 @@ def test_cancel_cycles_properties(seed):
     assert new[0] <= old[0] and new[1] <= old[1]
     # a circulation has defect zero everywhere, so nothing may remain
     assert cancelled.is_zero()
+
+
+def reference_find_positive_cycle(f: Flow):
+    """The replaced least-id depth-first search for a cycle of
+    positive-flow arcs."""
+    g = f.graph
+    color = {v: 0 for v in g.vertices()}  # 0 white, 1 on stack, 2 done
+    for start in g.vertices():
+        if color[start] != 0:
+            continue
+        stack = [(start, iter(g.adjacency[start]))]
+        color[start] = 1
+        on_path = [start]
+        while stack:
+            u, it = stack[-1]
+            advanced = False
+            for w in it:
+                if f.value(u, w) <= 0:
+                    continue
+                if color[w] == 1:
+                    return on_path[on_path.index(w) :]
+                if color[w] == 0:
+                    color[w] = 1
+                    on_path.append(w)
+                    stack.append((w, iter(g.adjacency[w])))
+                    advanced = True
+                    break
+            if not advanced:
+                color[u] = 2
+                on_path.pop()
+                stack.pop()
+    return None
+
+
+def reference_cancel_cycles(f: Flow) -> Flow:
+    """The replaced rule: restart the least-id search for a positive
+    cycle after every cancellation, on a fresh copy of the flow."""
+    values = {key: val for key, val in f.items()}
+    current = Flow(f.graph, values)
+    while True:
+        cycle = reference_find_positive_cycle(current)
+        if cycle is None:
+            break
+        closed = cycle + [cycle[0]]
+        c = min(
+            current.value(closed[i], closed[i + 1])
+            for i in range(len(cycle))
+        )
+        assert c > 0
+        updates = dict(current.items())
+        for i in range(len(cycle)):
+            u, v = closed[i], closed[i + 1]
+            key, sign = ((u, v), 1) if u < v else ((v, u), -1)
+            updates[key] = updates.get(key, 0) - sign * c
+        current = Flow(f.graph, updates)
+    return current
+
+
+def reference_decompose_flow_paths(g: UndirectedGraph, f: Flow, d) -> PathFamily:
+    """The replaced rule: every step rescans the vertex's arcs from the
+    first one."""
+    n = g.num_vertices
+    beta = [0] * n
+    mu: dict[tuple[int, int], int] = {}
+    paths = []
+    for v in range(n):
+        for _ in range(d[v]):
+            path = [v]
+            u = v
+            while beta[u] != 0:
+                nxt = None
+                for w in g.adjacency[u]:
+                    if f.value(u, w) > mu.get((u, w), 0):
+                        nxt = w
+                        break
+                assert nxt is not None, "path cannot continue"
+                mu[(u, nxt)] = mu.get((u, nxt), 0) + 1
+                assert nxt not in path, "path revisits a vertex"
+                path.append(nxt)
+                u = nxt
+            beta[u] = 1
+            paths.append(tuple(path))
+    return PathFamily(tuple(paths), mu)
+
+
+def pipeline_mix(seed: int):
+    """A graph, a k-sparse distribution and its delta-flow plus random
+    circulations, as ``suite pipeline`` mixes them."""
+    rng = rng_for(seed, 81)
+    n = 2 + rng.randrange(24)
+    g = random_connected_graph(rng, n, rng.randrange(n + 1))
+    k = 1 + rng.randrange(3)
+    d = random_sparse_distribution(rng, g, k)
+    f = compute_delta_flow(g, d, k)
+    circ = random_circulation(rng, g, rng.randrange(n // 10 + 3))
+    keys = set(dict(f.items())) | set(dict(circ.items()))
+    return g, d, Flow(g, {key: f.value(*key) + circ.value(*key) for key in keys})
+
+
+def random_signed_flow(seed: int) -> Flow:
+    """Values in -3..3 on a random graph, connected or not."""
+    rng = rng_for(seed, 82)
+    n = 1 + rng.randrange(25)
+    if rng.randrange(2):
+        g = random_connected_graph(rng, n, rng.randrange(2 * n + 1))
+    else:
+        g = random_graph_max_degree(rng, n, 1 + rng.randrange(5))
+    return Flow(g, {edge: rng.randrange(-3, 4) for edge in g.edges})
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_cancel_cycles_and_decomposition_match_reference_on_pipeline_mixes(block):
+    for seed in range(500 * block, 500 * (block + 1)):
+        g, d, mixed = pipeline_mix(seed)
+        assert _find_positive_cycle(mixed) == reference_find_positive_cycle(mixed), seed
+        cancelled = cancel_cycles(mixed)
+        assert cancelled.items() == reference_cancel_cycles(mixed).items(), seed
+        family = decompose_flow_paths(g, cancelled, d)
+        want = reference_decompose_flow_paths(g, cancelled, d)
+        assert (family.paths, family.usage) == (want.paths, want.usage), seed
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_cycle_search_and_cancelling_match_reference_on_signed_flows(block):
+    for seed in range(500 * block, 500 * (block + 1)):
+        f = random_signed_flow(seed)
+        assert _find_positive_cycle(f) == reference_find_positive_cycle(f), seed
+        assert cancel_cycles(f).items() == reference_cancel_cycles(f).items(), seed
 
 
 # --- path decomposition -----------------------------------------------------------

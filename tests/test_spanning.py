@@ -594,6 +594,14 @@ def test_dfst_refuses_malformed_parent_map(parent):
         dataclasses.replace(t, parent=parent)
 
 
+def test_dfst_refuses_a_repeated_node():
+    # a node listed twice would give overlapping preorder intervals
+    h = Hypergraph(list("abcd"), [(0, 1), (1, 2), (2, 3)])
+    t = build_dfst(h, 0)
+    with pytest.raises(MalformedTree, match="node 3 is listed twice"):
+        dataclasses.replace(t, nodes=t.nodes + (3,))
+
+
 def test_validate_dfst_rejects_limit_node():
     # build_dfst never makes a limit node; a tampered one is an unknown type
     h = Hypergraph(list("abcd"), [(0, 1), (1, 2), (2, 3)])
