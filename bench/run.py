@@ -76,6 +76,35 @@ def priority_tree(n):
     return h, build_priority_tree(h)
 
 
+def priority_edge_order(n):
+    """The k = 4 hypergraph and the edge order of its priority tree."""
+    h, t = priority_tree(n)
+    return h, spanning.edge_order(t)
+
+
+def path_hypergraph(n):
+    """The path on n vertices as a hypergraph of n - 1 two-vertex edges."""
+    return core.Hypergraph([f"v{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+
+
+def path_graph(n):
+    """The path on n vertices: its breadth-first forest is n deep."""
+    return core.as_graph(path_hypergraph(n))
+
+
+def path_priority_tree(n):
+    """The path hypergraph and its priority tree from vertex 0 towards
+    its last edge: the tree's edge order is one chain of n - 1 edges."""
+    h = path_hypergraph(n)
+    return h, spanning.build_priority_tree(h, 0, [n - 2])
+
+
+def path_edge_order(n):
+    """The path hypergraph and the edge order of its priority tree."""
+    h, t = path_priority_tree(n)
+    return h, spanning.edge_order(t)
+
+
 def dfst(n):
     """The k = 4 hypergraph and its depth-first tree from vertex 0."""
     h = hypergraph(n)
@@ -145,7 +174,20 @@ CASES = {
     "edge_ordering": (hypergraph, spanning.edge_ordering),
     "dfst_orientation": (hypergraph, spanning.dfst_orientation),
     "build_priority_tree": (hypergraph, build_priority_tree),
+    "validate_priority_tree": (
+        priority_tree,
+        lambda ht: spanning.validate_priority_tree(*ht),
+    ),
     "edge_order": (priority_tree, lambda ht: spanning.edge_order(ht[1])),
+    "edge_order_path": (path_priority_tree, lambda ht: spanning.edge_order(ht[1])),
+    "tree_order_violations": (
+        priority_edge_order,
+        lambda ho: spanning.tree_order_violations(ho[1]),
+    ),
+    "tree_order_violations_path": (
+        path_edge_order,
+        lambda ho: spanning.tree_order_violations(ho[1]),
+    ),
     "priority_tree_linear_order": (
         priority_tree,
         lambda ht: spanning.priority_tree_linear_order(ht[1]),
@@ -167,6 +209,7 @@ CASES = {
         lambda gdf: flows.decompose_flow_paths(gdf[0], gdf[2], gdf[1]),
     ),
     "spanning_forest": (graph, encoding.spanning_forest),
+    "spanning_forest_path": (path_graph, encoding.spanning_forest),
     "refine_to_injective": (
         set_function_input,
         lambda gh: encoding.refine_to_injective(gh[0], gh[1], 2),

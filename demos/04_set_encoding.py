@@ -28,7 +28,11 @@ def banner(title: str) -> None:
 
 banner("the lexicographic set order")
 ctx = spanning_forest(g)
-print("forest keys:", {g.vertex_labels[v]: k for v, k in sorted(ctx.keys.items())})
+# a vertex's preorder position and the position after its subtree
+print(
+    "forest positions:",
+    {g.vertex_labels[v]: (ctx.pre[v], ctx.end[v]) for v in sorted(ctx.pre)},
+)
 sets = [frozenset(), {0}, {1}, {0, 1}, {2, 3}]
 ranked = sort_sets(ctx, sets)
 print("ranked sets:", [sorted(g.vertex_labels[v] for v in xs) for xs in ranked])

@@ -345,11 +345,10 @@ def run(argv, out=None) -> int:
         lines = args.handler(args)
         code = 0
     except SparseHGError as exc:
-        witness = getattr(exc, "witness", None)
-        if witness is None:
+        if exc.witness is None:
             lines = [f"ERROR {exc.code}", f"detail {exc}"]
         else:
-            names = " ".join(args.labels[v] for v in witness)
+            names = " ".join(args.labels[v] for v in exc.witness)
             lines = [f"ERROR {exc.code}", f"witness {names}"]
         code = 2 if isinstance(exc, ParseError) else 1
     except OSError as exc:

@@ -24,6 +24,7 @@ from collections import deque
 from .errors import (
     DuplicateLabel,
     DuplicateVertexInEdge,
+    MalformedTree,
     NotAGraph,
     ParseError,
     UndeclaredVertex,
@@ -406,3 +407,35 @@ def connected_components(h: Hypergraph) -> list[list[int]]:
 
 def is_connected(h: Hypergraph) -> bool:
     return len(connected_components(h)) <= 1
+
+
+def _forest_index(nodes, parent) -> tuple[dict, dict, dict]:
+    """Depth, preorder number and subtree end of every node of a forest.
+
+    ``nodes`` lists each node after its parent, and ``parent`` maps a
+    node to its parent, None for a root.  Roots and siblings are
+    numbered in ``nodes`` order, so u is v or one of its ancestors iff
+    ``pre[u] <= pre[v] < end[u]`` (Tarjan 1972).  A node listed twice,
+    or a parent that is not an earlier node, is ``MalformedTree``.
+    """
+    depth: dict = {}
+    for v in nodes:  # a node without a parent entry reads as its own
+        if v in depth:
+            raise MalformedTree(f"node {v} is listed twice")
+        p = parent.get(v, v)
+        if p is not None and p not in depth:
+            raise MalformedTree(f"parent of {v} is not an earlier node")
+        depth[v] = 0 if p is None else depth[p] + 1
+    size = dict.fromkeys(nodes, 1)
+    for v in reversed(nodes):  # children before their parents
+        if parent[v] is not None:
+            size[parent[v]] += size[v]
+    pre: dict = {}
+    end: dict = {}
+    free: dict = {None: 0}  # next preorder number below a node, None: roots
+    for v in nodes:
+        p = parent[v]
+        pre[v] = free[p]
+        end[v] = free[p] = pre[v] + size[v]
+        free[v] = pre[v] + 1
+    return depth, pre, end

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import UndirectedGraph, _content_lines, _vertex_ids, connected_components
+from .core import UndirectedGraph, _content_lines, _forest_index, _vertex_ids
 from .errors import ParseError
 from .flows import compute_delta_flow, function_from_flow, induced_distribution
 
@@ -49,73 +49,69 @@ class FiniteSetFunction:
 
 @dataclass
 class LexContext:
-    """Spanning forest with ordered children and lexicographic keys.
+    """Spanning forest with ordered children and lexicographic positions.
 
-    A vertex's key is its component root followed by the child indices
-    along the tree path; ancestors are proper prefixes."""
+    ``pre[v]`` is v's preorder number in the forest, roots in id order
+    and children in their listed order, and ``end[v]`` the number after
+    v's subtree.  Preorder is the lexicographic order of the paths of
+    child indices from the roots, so an ancestor comes first."""
 
     graph: UndirectedGraph
     roots: tuple
     parent: dict
     children: dict
     forest_edges: tuple
-    keys: dict
+    pre: dict
+    end: dict
 
     def tree_leq(self, u: int, v: int) -> bool:
-        ku, kv = self.keys[u], self.keys[v]
-        return kv[: len(ku)] == ku
+        return self.pre[u] <= self.pre[v] < self.end[u]
 
 
 def spanning_forest(g: UndirectedGraph) -> LexContext:
-    """Breadth-first forest over the sorted ``adjacency``, one root
-    (least id) per component; children are in id order.  That is the
-    neighbourhood ordering of the child-to-parent digraph: its
-    in-neighbourhoods, the children sets, are disjoint, so each is a
-    one-edge component whose edge ordering puts its least member first
-    and the rest, owned by one depth-1 node, after it by id."""
+    """Breadth-first forest over the sorted ``adjacency``, one search
+    over the vertices in id order: the first vertex it has not reached
+    is the least of the next component and becomes its root.  Children
+    are in id order.  That is the neighbourhood ordering of the
+    child-to-parent digraph: its in-neighbourhoods, the children sets,
+    are disjoint, so each is a one-edge component whose edge ordering
+    puts its least member first and the rest, owned by one depth-1
+    node, after it by id."""
     parent: dict[int, int | None] = {}
     children: dict[int, list[int]] = {v: [] for v in g.vertices()}
     roots = []
     forest_edges = []
-    for comp in connected_components(g):
-        root = comp[0]
+    reached = []  # every vertex, in the order the search reaches it
+    for root in g.vertices():
+        if root in parent:
+            continue
         roots.append(root)
         parent[root] = None
         queue = [root]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
+        for u in queue:  # grows while it is read: breadth first
             for w in g.adjacency[u]:
                 if w not in parent:
                     parent[w] = u
                     children[u].append(w)
                     forest_edges.append(g.edge_between(u, w))
                     queue.append(w)
-    keys: dict[int, tuple] = {}
-    for root in roots:
-        stack = [(root, (root,))]
-        while stack:
-            u, key = stack.pop()
-            keys[u] = key
-            for i, w in enumerate(children[u]):
-                stack.append((w, key + (i,)))
+        reached += queue
+    _, pre, end = _forest_index(reached, parent)
     return LexContext(
         graph=g,
         roots=tuple(roots),
         parent=parent,
         children={u: tuple(cs) for u, cs in children.items()},
         forest_edges=tuple(forest_edges),
-        keys=keys,
+        pre=pre,
+        end=end,
     )
 
 
 def vertex_lex_order(ctx: LexContext, u: int, v: int) -> int:
     """-1, 0 or 1 as u comes before, equals or comes after v."""
-    ku, kv = ctx.keys[u], ctx.keys[v]
-    if ku == kv:
-        return 0
-    return -1 if ku < kv else 1
+    pu, pv = ctx.pre[u], ctx.pre[v]
+    return (pu > pv) - (pu < pv)
 
 
 def set_order(ctx: LexContext, x, y) -> int:
@@ -124,21 +120,15 @@ def set_order(ctx: LexContext, x, y) -> int:
     xs, ys = frozenset(x), frozenset(y)
     if xs == ys:
         return 0
-    least = min(xs ^ ys, key=lambda v: ctx.keys[v])
+    least = min(xs ^ ys, key=ctx.pre.__getitem__)
     return -1 if least in ys else 1
 
 
 def sort_sets(ctx: LexContext, sets) -> list:
     """``sets`` in increasing ``set_order``: each set's key lists the
-    negated lex positions of its members, least member first.  Only the
-    members of ``sets`` are ranked, so a call costs no more than its
-    sets."""
-    sets = list(sets)
-    members = sorted(set().union(*sets), key=ctx.keys.__getitem__)
-    rank = {v: i for i, v in enumerate(members)}
-    return sorted(
-        sets, key=lambda xs: tuple(-rank[v] for v in sorted(xs, key=rank.__getitem__))
-    )
+    negated lex positions of its members, least member first."""
+    pre = ctx.pre
+    return sorted(sets, key=lambda xs: sorted((-pre[v] for v in xs), reverse=True))
 
 
 def refine_to_injective(

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 
 class SparseHGError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.
+    ``witness``, when given, is a vertex set that shows the error."""
 
     code = "Error"
 
-    def __init__(self, message: str = "", **details):
+    def __init__(self, message: str = "", witness=None):
         super().__init__(message or self.code)
-        self.details = details
+        self.witness = witness
 
 
 class ParseError(SparseHGError):
@@ -24,8 +25,8 @@ class ParseError(SparseHGError):
 
     code = "ParseError"
 
-    def __init__(self, message: str, line: int | None = None, **details):
-        super().__init__(message, **details)
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message)
         self.line = line
 
     def __str__(self) -> str:
@@ -52,19 +53,11 @@ class NotKSparse(SparseHGError):
 
     code = "NotKSparse"
 
-    def __init__(self, message: str = "", witness=None, **details):
-        super().__init__(message, **details)
-        self.witness = witness
-
 
 class NotSparseDistribution(SparseHGError):
     """The distribution violates its sparsity bound; ``witness`` violates it."""
 
     code = "NotSparseDistribution"
-
-    def __init__(self, message: str = "", witness=None, **details):
-        super().__init__(message, **details)
-        self.witness = witness
 
 
 class RankTooSmall(SparseHGError):

@@ -19,6 +19,7 @@ from .core import (
     DirectedGraph,
     Hypergraph,
     Orientation,
+    _forest_index,
     connected_components,
     is_connected,
 )
@@ -87,40 +88,38 @@ class VertexOrder:
 
 
 def tree_order_violations(order: VertexOrder) -> list[str]:
-    """Check the axioms of a forest-shaped partial order.
+    """Check that ``order`` is a forest order, from |carrier|^2 ``leq``
+    answers, listing violations in carrier order.
 
-    Reflexivity, antisymmetry, transitivity, downsets being chains, and
-    existence of infima for every pair that has a common lower bound at
-    all (elements in separate subtrees legitimately have none).
+    Let p(x) be the element of down(x) - {x} with the largest down set.
+    A reflexive, antisymmetric relation is a forest order exactly when
+    down(x) = {x} | down(p(x)) wherever p(x) exists: down sets then
+    shrink by one along p, so the relation is ancestry in the forest of
+    p, and transitivity, chain down sets and infima follow.  A missing
+    z is reported as ``transitivity fails on z,p,x``, an extra y as
+    ``downset of x not a chain: y,p``.
     """
     xs = order.carrier
-    bad: list[str] = []
-    down = {x: [e for e in xs if order.leq(e, x)] for x in xs}
+    leq = order._leq  # the oracle itself, without the bool() of leq()
+    down = {x: [y for y in xs if leq(y, x)] for x in xs}
+    below = {x: set(d) for x, d in down.items()}
+    size = {x: len(d) for x, d in down.items()}
+    bad = [f"not reflexive at {x}" for x in xs if x not in below[x]]
+    bad += [
+        f"antisymmetry fails on {x},{y}"
+        for x in xs
+        for y in down[x]
+        if y != x and x in below[y]
+    ]
     for x in xs:
-        if not order.leq(x, x):
-            bad.append(f"not reflexive at {x}")
-    for x in xs:
-        for y in xs:
-            if x != y and order.leq(x, y) and order.leq(y, x):
-                bad.append(f"antisymmetry fails on {x},{y}")
-    for x in xs:
-        for y in down[x]:
-            for z in down[y]:
-                if not order.leq(z, x):
-                    bad.append(f"transitivity fails on {z},{y},{x}")
-    for x in xs:
-        d = down[x]
-        for i, a in enumerate(d):
-            for b in d[i + 1 :]:
-                if not order.comparable(a, b):
-                    bad.append(f"downset of {x} not a chain: {a},{b}")
-    for i, x in enumerate(xs):
-        for y in xs[i:]:
-            common = [z for z in down[x] if order.leq(z, y)]
-            if common and not any(
-                all(order.leq(w, z) for w in common) for z in common
-            ):
-                bad.append(f"no infimum for {x},{y}")
+        strict = [y for y in down[x] if y != x]
+        if not strict:
+            continue
+        p = max(strict, key=size.__getitem__)
+        missing = below[p] - below[x] - {x}
+        extra = below[x] - below[p] - {x, p}
+        bad += [f"transitivity fails on {z},{p},{x}" for z in down[p] if z in missing]
+        bad += [f"downset of {x} not a chain: {y},{p}" for y in down[x] if y in extra]
     return bad
 
 
@@ -417,13 +416,14 @@ def branches(t: PriorityTree, cap: int = 10**6) -> list[tuple[int, ...]]:
 
 def edge_order(t: PriorityTree) -> VertexOrder:
     """e <= f iff e lies on the branch ending at f, i.e. e is f or one
-    of its ancestors.  A forest order, so ``tree_order_violations`` is
-    empty by construction."""
-    parent = _edge_parents(t)
-    down: dict[int, frozenset] = {}
-    for e in t.edge_list:  # every parent is glued before its children
-        down[e] = down.get(parent[e], frozenset()) | {e}
-    return VertexOrder(sorted(t.edge_list), lambda e, f: e in down[f], "partial")
+    of its ancestors: f's preorder number lies in e's subtree interval.
+    A forest order, so ``tree_order_violations`` is empty by
+    construction."""
+    # every parent is glued before its children
+    _, pre, end = _forest_index(t.edge_list, _edge_parents(t))
+    return VertexOrder(
+        sorted(t.edge_list), lambda e, f: pre[e] <= pre[f] < end[e], "partial"
+    )
 
 
 @dataclass
@@ -524,32 +524,9 @@ class DepthFirstSpanningTree:
     vertex_types: dict
 
     def __post_init__(self):
-        nodes, parent = self.nodes, self.parent
-        depth: dict[int, int] = {}
-        for v in nodes:  # a node without a parent entry reads as its own
-            if v in depth:
-                raise MalformedTree(f"node {v} is listed twice")
-            p = parent.get(v, v)
-            if p is not None and p not in depth:
-                raise MalformedTree(f"parent of {v} is not an earlier node")
-            depth[v] = 0 if p is None else depth[p] + 1
-        size = dict.fromkeys(nodes, 1)
-        for v in reversed(nodes):  # children before their parents
-            if parent[v] is not None:
-                size[parent[v]] += size[v]
-        pre: dict[int, int] = {}
-        end: dict[int, int] = {}
-        free: dict = {None: 0}  # next preorder number below a node, None: roots
-        for v in nodes:
-            p = parent[v]
-            pre[v] = free[p]
-            end[v] = free[p] = pre[v] + size[v]
-            free[v] = pre[v] + 1
-        owner: dict[int, int] = {}
-        for v in nodes:
-            for w in self.aux_sets[v]:
-                owner[w] = v
-        self._depth, self._pre, self._end, self._owner = depth, pre, end, owner
+        self._depth, self._pre, self._end = _forest_index(self.nodes, self.parent)
+        # the last node whose auxiliary set holds a vertex owns it
+        self._owner = {w: v for v in self.nodes for w in self.aux_sets[v]}
 
     def depth(self, v: int) -> int:
         return self._depth[v]

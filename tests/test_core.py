@@ -12,6 +12,7 @@ from sparsehg.core import (
     Orientation,
     UndirectedGraph,
     _check_label,
+    _forest_index,
     as_graph,
     connected_components,
     induced_subhypergraph,
@@ -25,6 +26,7 @@ from sparsehg.core import (
 from sparsehg.errors import (
     DuplicateLabel,
     DuplicateVertexInEdge,
+    MalformedTree,
     NotAGraph,
     ParseError,
     UndeclaredVertex,
@@ -233,6 +235,21 @@ def test_connected_components_partition_and_order():
     assert comps == [[0, 1], [2], [3, 4, 5]]
     assert not is_connected(h)
     assert is_connected(Hypergraph(["a"], []))
+
+
+def test_forest_index_numbers_roots_and_siblings_in_listed_order():
+    # two trees: 7 -> (3 -> 5), 1; and 2 -> 4
+    parent = {7: None, 2: None, 3: 7, 1: 7, 4: 2, 5: 3}
+    depth, pre, end = _forest_index([7, 2, 3, 1, 4, 5], parent)
+    assert depth == {7: 0, 2: 0, 3: 1, 1: 1, 4: 1, 5: 2}
+    assert pre == {7: 0, 3: 1, 5: 2, 1: 3, 2: 4, 4: 5}
+    assert end == {7: 4, 3: 3, 5: 3, 1: 4, 2: 6, 4: 6}
+    with pytest.raises(MalformedTree, match="listed twice"):
+        _forest_index([7, 7], {7: None})
+    with pytest.raises(MalformedTree, match="not an earlier node"):
+        _forest_index([3, 7], {7: None, 3: 7})
+    with pytest.raises(MalformedTree, match="not an earlier node"):
+        _forest_index([7, 3], {7: None})
 
 
 @given(st.integers(min_value=0, max_value=2**32))

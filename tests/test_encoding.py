@@ -108,6 +108,50 @@ def test_spanning_forest_children_match_neighbourhood_ordering(seed):
     assert spanning_forest(g).children == reference_forest_children(g)
 
 
+def reference_lex_keys(g: UndirectedGraph) -> dict:
+    """The replaced key of every vertex: its component root followed by
+    the child indices along its forest path.  Ancestors are the proper
+    prefixes, and the lexicographic order of the tuples is the vertex
+    order."""
+    ctx = spanning_forest(g)
+    keys = {}
+    for root in ctx.roots:
+        stack = [(root, (root,))]
+        while stack:
+            u, key = stack.pop()
+            keys[u] = key
+            for i, w in enumerate(ctx.children[u]):
+                stack.append((w, key + (i,)))
+    return keys
+
+
+@pytest.mark.parametrize("chunk", range(20))
+def test_forest_positions_match_reference_lex_keys(chunk):
+    for seed in range(150 * chunk, 150 * (chunk + 1)):
+        rng = rng_for(seed, 93)
+        n = 1 + rng.randrange(24)
+        if seed % 2:  # often disconnected
+            g = random_graph_max_degree(rng, n, 1 + rng.randrange(3))
+        else:
+            g = random_connected_graph(rng, n, rng.randrange(n + 1))
+        ctx = spanning_forest(g)
+        keys = reference_lex_keys(g)
+        assert sorted(g.vertices(), key=ctx.pre.__getitem__) == sorted(
+            g.vertices(), key=keys.__getitem__
+        )
+        for u in g.vertices():
+            for v in g.vertices():
+                assert ctx.tree_leq(u, v) == (keys[v][: len(keys[u])] == keys[u])
+
+        def reference_set_order(x, y):
+            if x == y:
+                return 0
+            return -1 if min(x ^ y, key=keys.__getitem__) in y else 1
+
+        sets = {frozenset(v for v in g.vertices() if rng.randrange(3) == 0) for _ in range(8)}
+        assert sort_sets(ctx, sets) == sorted(sets, key=cmp_to_key(reference_set_order))
+
+
 def test_vertex_lex_order_path():
     ctx = spanning_forest(p3())
     assert vertex_lex_order(ctx, 1, 1) == 0

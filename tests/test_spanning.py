@@ -100,6 +100,123 @@ def test_tree_order_violations_reports_antisymmetry():
     assert tree_order_violations(chain) == []
 
 
+def test_tree_order_violations_names_the_parent():
+    # 0 <= 1 <= 2 without 0 <= 2: 0 is missing from down(2) = {1, 2}
+    gap = {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)}
+    order = VertexOrder([0, 1, 2], lambda x, y: (x, y) in gap, "partial")
+    assert tree_order_violations(order) == ["transitivity fails on 0,1,2"]
+    # two roots below 2: the first in carrier order is taken as its parent
+    fork = {(0, 0), (1, 1), (2, 2), (0, 2), (1, 2)}
+    order = VertexOrder([0, 1, 2], lambda x, y: (x, y) in fork, "partial")
+    assert tree_order_violations(order) == ["downset of 2 not a chain: 1,0"]
+
+
+def reference_tree_order_violations(order: VertexOrder) -> list[str]:
+    """The replaced checker: every axiom of a forest order tested on its
+    own, with about |F|^2 d^2 ``leq`` calls for down sets of size d."""
+    xs = order.carrier
+    bad: list[str] = []
+    down = {x: [e for e in xs if order.leq(e, x)] for x in xs}
+    for x in xs:
+        if not order.leq(x, x):
+            bad.append(f"not reflexive at {x}")
+    for x in xs:
+        for y in xs:
+            if x != y and order.leq(x, y) and order.leq(y, x):
+                bad.append(f"antisymmetry fails on {x},{y}")
+    for x in xs:
+        for y in down[x]:
+            for z in down[y]:
+                if not order.leq(z, x):
+                    bad.append(f"transitivity fails on {z},{y},{x}")
+    for x in xs:
+        d = down[x]
+        for i, a in enumerate(d):
+            for b in d[i + 1 :]:
+                if not order.comparable(a, b):
+                    bad.append(f"downset of {x} not a chain: {a},{b}")
+    for i, x in enumerate(xs):
+        for y in xs[i:]:
+            common = [z for z in down[x] if order.leq(z, y)]
+            if common and not any(
+                all(order.leq(w, z) for w in common) for z in common
+            ):
+                bad.append(f"no infimum for {x},{y}")
+    return bad
+
+
+def random_relation(rng, family: int) -> VertexOrder:
+    """A relation on at most 6 shuffled labels: a random forest order
+    (family 0), one with 1-3 pairs toggled (1), or an arbitrary relation
+    that is reflexive at most places (2)."""
+    n = 1 + rng.randrange(6)
+    carrier = sample(rng, range(10), n)
+    pairs = set()
+    if family < 2:
+        parent = {}
+        for i, y in enumerate(carrier):
+            parent[y] = carrier[rng.randrange(i)] if i and rng.randrange(4) else None
+            x = y
+            while x is not None:
+                pairs.add((x, y))
+                x = parent[x]
+        for _ in range(family * (1 + rng.randrange(3))):
+            pairs ^= {(rng.choice(carrier), rng.choice(carrier))}
+    else:
+        density = rng.choice([2, 5, 8])
+        pairs = {
+            (x, y)
+            for x in carrier
+            for y in carrier
+            if rng.randrange(10) < (9 if x == y else density)
+        }
+    return VertexOrder(carrier, lambda x, y: (x, y) in pairs, "partial")
+
+
+@pytest.mark.parametrize("block", range(8))
+def test_tree_order_violations_matches_reference(block):
+    # 500 relations per block, 4,000 in all, a third of each family
+    verdicts = {(family, ok): 0 for family in range(3) for ok in (True, False)}
+    for seed in range(500 * block, 500 * (block + 1)):
+        rng = rng_for(seed, 97)
+        family = seed % 3
+        order = random_relation(rng, family)
+        got = tree_order_violations(order)
+        want = reference_tree_order_violations(order)
+        assert (got == []) == (want == []), (order.carrier, got, want)
+        for prefix in ("not reflexive", "antisymmetry"):
+            assert [v for v in got if v.startswith(prefix)] == [
+                v for v in want if v.startswith(prefix)
+            ]
+        verdicts[family, got == []] += 1
+    assert verdicts[0, True] > 0 and verdicts[0, False] == 0
+    assert all(verdicts[family, ok] > 0 for family in (1, 2) for ok in (True, False))
+
+
+def path_priority_tree(num_edges: int) -> PriorityTree:
+    """The priority tree of a path hypergraph towards its last edge: its
+    edge order is one chain of ``num_edges`` edges."""
+    n = num_edges + 1
+    h = Hypergraph([f"v{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+    return build_priority_tree(h, 0, [n - 2])
+
+
+def test_tree_order_violations_work_bound():
+    order = edge_order(path_priority_tree(240))
+    calls = 0
+
+    def counting_leq(x, y):
+        nonlocal calls
+        calls += 1
+        return order.leq(x, y)
+
+    size = len(order.carrier)
+    assert size == 240
+    counted = VertexOrder(order.carrier, counting_leq, "partial")
+    assert tree_order_violations(counted) == []
+    assert calls <= size * size + size
+
+
 # --- priority trees ----------------------------------------------------------
 
 
