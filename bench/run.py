@@ -6,12 +6,15 @@ Each case runs one library call on a seeded input at
 n = 100, 200, 400, 800, 1600 and 3200 vertices.  A row holds the input's
 n, m and rank, the median and the minimum of 5 timed runs
 (``time.perf_counter``) and the peak memory of one more run under
-``tracemalloc``.  A case stops before a size whose projected cost, four
+``tracemalloc``.  A ``cli_process_*`` row times a command line in a
+fresh interpreter instead, and holds the median of the child's
+``ru_maxrss`` from ``os.wait4`` (``child_maxrss_mib``) in place of the
+``tracemalloc`` peak.  A case stops before a size whose projected cost, four
 times what the previous size took with its input set-up, would exceed
 its 30 s budget, and lists the sizes it skipped.  The CPU count and
 Python version are recorded once per file.
 
-The ``cli_order_edges`` case reads its input file from ``bench/work/``,
+The ``cli_*`` cases read their input file from ``bench/work/``,
 which the script fills with seeded files and leaves in place.
 
 The script measures the ``src/`` next to it: copy it into another
@@ -27,6 +30,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -34,7 +38,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 WORK = HERE / "work"
-sys.path.insert(0, str(HERE.parent / "src"))
+SRC = HERE.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from sparsehg import cli, core, encoding, flows, generators, sparsity, spanning  # noqa: E402
 
@@ -126,6 +131,34 @@ def cli_run(argv):
         raise RuntimeError(f"{argv} exited with {code}")
 
 
+# Linux carries a process's peak RSS across exec, so a child spawned by
+# this (large) process would report at least its peak as ru_maxrss.  A
+# bare interpreter spawns each command line instead, times it, and
+# prints its exit code, wall time and ru_maxrss (KiB).
+SPAWN = """
+import os, sys, time
+start = time.perf_counter()
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss)
+"""
+CLI_MAIN = "import sys; sys.path.insert(0, sys.argv.pop(1)); from sparsehg.cli import main; main()"
+
+
+def cli_process(argv) -> tuple[float, int]:
+    """One command line in a fresh interpreter, its report discarded:
+    its wall time in seconds and its ru_maxrss in KiB."""
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", SPAWN, "-c", CLI_MAIN, str(SRC), *argv],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    code, wall, maxrss = out.split()
+    if code != "0":
+        raise RuntimeError(f"{argv} exited with {code}")
+    return float(wall), int(maxrss)
+
+
 def graph(n):
     """The k = 2 distribution rows: a random spanning tree plus n chords."""
     return generators.random_connected_graph(generators.rng_for(7, n), n, n)
@@ -153,11 +186,22 @@ def acyclic_flow(n):
     return g, d, flows.cancel_cycles(mixed)
 
 
-def set_function_input(n):
-    """The k = 2 graph and a random set function whose distribution is
+def set_function(g):
+    """A random set function on the k = 2 graph whose distribution is
     2-sparse."""
+    return generators.random_set_function(generators.rng_for(10, g.num_vertices), g, 2)
+
+
+def set_function_input(n):
+    """The k = 2 graph and its random set function."""
     g = graph(n)
-    return g, generators.random_set_function(generators.rng_for(10, n), g, 2)
+    return g, set_function(g)
+
+
+def degree_graph(n):
+    """A simple graph of maximum degree 4, the bound ``suite lemmas``
+    draws at k = 2."""
+    return generators.random_graph_max_degree(generators.rng_for(11, n), n, 4)
 
 
 # name -> (input builder, operation on that input)
@@ -214,9 +258,23 @@ CASES = {
         set_function_input,
         lambda gh: encoding.refine_to_injective(gh[0], gh[1], 2),
     ),
+    # the generators on their own, each run from a fresh seeded generator
+    "random_connected_hypergraph": (hypergraph, lambda h: hypergraph(h.num_vertices)),
+    "random_connected_graph": (graph, lambda g: graph(g.num_vertices)),
+    "random_graph_max_degree": (degree_graph, lambda g: degree_graph(g.num_vertices)),
+    "random_set_function": (graph, set_function),
     "parse_hypergraph": (hypergraph_text, lambda ht: core.parse_hypergraph(ht[1])),
     # end to end: argv and input file to report
     "cli_order_edges": (hypergraph_file, lambda hp: cli_run(["order", "edges", hp[1]])),
+}
+
+# name -> (input builder, command line for that input), each run by
+# ``cli_process``: import and start-up included
+PROCESS_CASES = {
+    "cli_process_orient_bounded": (
+        hypergraph_file,
+        lambda hp: ["orient", "bounded", hp[1], "--k", "4"],
+    ),
 }
 
 
@@ -245,7 +303,19 @@ def measure(op, x) -> dict:
     }
 
 
-def run_case(build, op) -> dict:
+def measure_process(command, x) -> dict:
+    argv = command(x)
+    runs = [cli_process(argv) for _ in range(RUNS)]
+    times = [wall for wall, _ in runs]
+    return {
+        "median_s": round(statistics.median(times), 6),
+        "min_s": round(min(times), 6),
+        "runs_s": [round(t, 6) for t in times],
+        "child_maxrss_mib": round(statistics.median(kib for _, kib in runs) / 1024, 3),
+    }
+
+
+def run_case(build, op, meter) -> dict:
     rows, skipped = [], []
     spent, last = 0.0, 0.0
     for n in SIZES:
@@ -254,7 +324,7 @@ def run_case(build, op) -> dict:
             continue
         start = time.perf_counter()
         x = build(n)
-        rows.append({**shape(x), **measure(op, x)})
+        rows.append({**shape(x), **meter(op, x)})
         last = time.perf_counter() - start
         spent += last
     return {"rows": rows, "skipped": skipped}
@@ -272,8 +342,10 @@ def main(argv=None) -> int:
         "budget_s": BUDGET_S,
         "cases": {},
     }
-    for name, (build, op) in CASES.items():
-        report["cases"][name] = result = run_case(build, op)
+    cases = [(name, build, op, measure) for name, (build, op) in CASES.items()]
+    cases += [(name, *case, measure_process) for name, case in PROCESS_CASES.items()]
+    for name, build, op, meter in cases:
+        report["cases"][name] = result = run_case(build, op, meter)
         medians = ", ".join(f"{r['n']}: {r['median_s']:.4f} s" for r in result["rows"])
         print(f"{name}: {medians}; skipped {result['skipped']}", file=sys.stderr)
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import UndirectedGraph, _content_lines, _vertex_ids
 from .errors import (
     DuplicateLabel,
@@ -145,7 +143,10 @@ def is_k_sparse_distribution_bruteforce(
         kk = min(k, total + 1)
         table = _count_table(n, (total + n + 1) * (m + 1))
         for v in range(n):
-            np.add(table[: 1 << v], d[v] - 1, out=table[1 << v : 2 << v])
+            # in place: upper[:] = lower + c would allocate a temporary
+            upper = table[1 << v : 2 << v]
+            upper[:] = table[: 1 << v]
+            upper += d[v] - 1
         for u, v in g.edges:  # u < v
             s = table.reshape(-1, 2, 1 << (v - u - 1), 2, 1 << u)
             s[:, 1, :, 0, :] -= kk

@@ -11,8 +11,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import DirectedGraph, Hypergraph, Orientation, UndirectedGraph, preimage_counts
 from .core import directed_quotient
 from .errors import (
@@ -60,13 +58,16 @@ def _first_max_excess_subset(n: int, cap: int, excess) -> list[int] | None:
     under intersection, so the first one is the least maximum-excess
     set, the set the minimum cut of the flow decisions names.  More
     than min(cap, ORACLE_MAX_VERTICES) vertices are refused with
-    CapExceeded before any table is allocated.
+    CapExceeded before any table is allocated, and a negative cap with
+    ValueError before any other work.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be a nonnegative integer, got {cap}")
     limit = min(cap, ORACLE_MAX_VERTICES)
     if n > limit:
         raise CapExceeded(f"{n} vertices exceeds the brute-force cap {limit}")
     table = excess()
-    mask = int(np.argmax(table))
+    mask = int(table.argmax())
     if table[mask] <= 0:
         return None
     return [v for v in range(n) if mask >> v & 1]
@@ -74,7 +75,11 @@ def _first_max_excess_subset(n: int, cap: int, excess) -> list[int] | None:
 
 def _count_table(n: int, bound: int):
     """Zeroed table over the 2^n subsets for counts of magnitude below
-    ``bound``: int32 whenever that suffices."""
+    ``bound``: int32 whenever that suffices.  Its array library is
+    imported here and nowhere else in the package, so a request that
+    builds no oracle table never loads it."""
+    import numpy as np
+
     return np.zeros(1 << n, dtype=np.int32 if bound < 2**31 else np.int64)
 
 

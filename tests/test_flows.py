@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsehg import flows, sparsity
+from sparsehg import flows
 from sparsehg.core import UndirectedGraph
 from sparsehg.errors import (
     CapExceeded,
@@ -169,6 +170,8 @@ def test_bruteforce_table_memory():
     # one int32 table: about 4 bytes per subset
     n = 18
     g = UndirectedGraph([f"v{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+    # the first table loads numpy: measure a later one
+    is_k_sparse_distribution_bruteforce(UndirectedGraph(["a"], []), [1], 1)
     tracemalloc.start()
     try:
         assert is_k_sparse_distribution_bruteforce(g, [1] * n, 1, cap=n) == (True, None)
@@ -179,13 +182,14 @@ def test_bruteforce_table_memory():
 
 
 def test_bruteforce_ceiling_ignores_cap(monkeypatch):
-    # refused before any table exists: numpy is not even reachable
-    monkeypatch.setattr(sparsity, "np", None)
-    monkeypatch.setattr(flows, "np", None)
+    # refused before any table exists: importing numpy would raise
+    monkeypatch.setitem(sys.modules, "numpy", None)
     n = ORACLE_MAX_VERTICES + 1
     g = UndirectedGraph([f"v{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
     with pytest.raises(CapExceeded, match=f"exceeds the brute-force cap {ORACLE_MAX_VERTICES}"):
         is_k_sparse_distribution_bruteforce(g, [0] * n, 1, cap=10**6)
+    with pytest.raises(ValueError, match="cap must be a nonnegative integer, got -1"):
+        is_k_sparse_distribution_bruteforce(g, [0] * n, 1, cap=-1)
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -14,7 +14,10 @@ and explain every diff.
 from __future__ import annotations
 
 import io
+import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,23 @@ import pytest
 from sparsehg.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# The cases whose reports need a brute-force oracle table; every other
+# case must run without loading numpy.
+TABLE_CASES = ("sparsity-check-oracle", "sparsity-check-witness-oracle", "suite-oracle")
+
+# Replays (name, argv, expected report, numpy loaded after it) tuples,
+# read from stdin, in one fresh interpreter.
+_IMPORT_GUARD = """
+import io, json, sys
+import sparsehg, sparsehg.cli
+assert "numpy" not in sys.modules, "import sparsehg"
+for name, argv, expected, loaded in json.load(sys.stdin):
+    buf = io.StringIO()
+    code = sparsehg.cli.run(argv, out=buf)
+    assert f"exit {code}\\n{buf.getvalue()}" == expected, name
+    assert ("numpy" in sys.modules) == loaded, name
+"""
 
 
 def _cases() -> list[tuple[str, list[str]]]:
@@ -31,6 +51,10 @@ def _cases() -> list[tuple[str, list[str]]]:
             name, *argv = line.split()
             cases.append((name, argv))
     return cases
+
+
+def _expected(name: str) -> str:
+    return (GOLDEN / "expected" / f"{name}.txt").read_bytes().decode("utf-8")
 
 
 def _report(argv: list[str]) -> str:
@@ -43,8 +67,7 @@ def _report(argv: list[str]) -> str:
 @pytest.mark.parametrize("name,argv", [pytest.param(*c, id=c[0]) for c in _cases()])
 def test_golden(name, argv, monkeypatch):
     monkeypatch.chdir(GOLDEN)
-    expected = (GOLDEN / "expected" / f"{name}.txt").read_bytes().decode("utf-8")
-    assert _report(argv) == expected
+    assert _report(argv) == _expected(name)
 
 
 def test_reverse_replay_matches_forward(tmp_path, monkeypatch):
@@ -60,6 +83,34 @@ def test_reverse_replay_matches_forward(tmp_path, monkeypatch):
         report = tmp_path / f"{name}.txt"
         assert _report(argv + ["--output", str(report)]) == exit_line + "\n", name
         assert (report.read_text(encoding="utf-8") if report.exists() else "") == stdout, name
+
+
+def test_numpy_loads_only_for_an_oracle_table():
+    # numpy serves only the brute-force tables: replay every other case,
+    # the refused --oracle ones too, in a fresh interpreter without
+    # loading it, then one table case that must load it
+    cases = dict(_cases())
+    assert {"sparsity-check-cap", "usage-cap"} <= cases.keys() - set(TABLE_CASES)
+    replay = [
+        (name, argv, _expected(name), False)
+        for name, argv in cases.items()
+        if name not in TABLE_CASES
+    ]
+    name = "sparsity-check-oracle"
+    replay.append((name, cases[name], _expected(name), True))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD],
+        input=json.dumps(replay),
+        cwd=GOLDEN,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_cases_match_expected_files():

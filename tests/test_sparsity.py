@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import tracemalloc
 
 import pytest
@@ -87,6 +88,8 @@ def test_bruteforce_table_memory():
     # one int32 table and its flags: about 5 bytes per subset
     n = 18
     h = Hypergraph([f"v{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+    # the first table loads numpy: measure a later one
+    is_k_sparse_bruteforce(triangle(), 1)
     tracemalloc.start()
     try:
         assert is_k_sparse_bruteforce(h, 1, cap=n).is_sparse
@@ -97,14 +100,22 @@ def test_bruteforce_table_memory():
 
 
 def test_bruteforce_ceiling_ignores_cap(monkeypatch):
-    # refused before any table exists: numpy is not even reachable
-    monkeypatch.setattr(sparsity, "np", None)
+    # refused before any table exists: importing numpy would raise
+    monkeypatch.setitem(sys.modules, "numpy", None)
     n = ORACLE_MAX_VERTICES + 1
     h = Hypergraph([f"v{i}" for i in range(n)], [])
     with pytest.raises(CapExceeded, match=f"exceeds the brute-force cap {ORACLE_MAX_VERTICES}"):
         is_k_sparse_bruteforce(h, 1, cap=10**6)
     with pytest.raises(CapExceeded):
         is_k_sparse_bruteforce(Hypergraph([f"v{i}" for i in range(40)], []), 1, cap=40)
+
+
+def test_bruteforce_refuses_negative_cap(monkeypatch):
+    assert is_k_sparse_bruteforce(Hypergraph([], []), 1, cap=0).is_sparse
+    # refused before any table exists: importing numpy would raise
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ValueError, match="cap must be a nonnegative integer, got -1"):
+        is_k_sparse_bruteforce(Hypergraph([], []), 1, cap=-1)
 
 
 def test_k_must_be_positive():
