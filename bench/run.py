@@ -1,6 +1,6 @@
 """Size-scaling bench: how each layer operation grows with the input.
 
-    python bench/run.py [--out BENCH.json]
+    python bench/run.py [--out BENCH.json] [--case NAME ...]
 
 Each case runs one library call on a seeded input at
 n = 100, 200, 400, 800, 1600 and 3200 vertices.  A row holds the input's
@@ -12,7 +12,9 @@ fresh interpreter instead, and holds the median of the child's
 ``tracemalloc`` peak.  A case stops before a size whose projected cost, four
 times what the previous size took with its input set-up, would exceed
 its 30 s budget, and lists the sizes it skipped.  The CPU count and
-Python version are recorded once per file.
+Python version are recorded once per file.  ``--case`` (repeatable)
+runs only the named cases, so that two checkouts can take turns case
+by case on one machine.
 
 The ``cli_*`` cases read their input file from ``bench/work/``,
 which the script fills with seeded files and leaves in place.
@@ -333,6 +335,8 @@ def run_case(build, op, meter) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH.json", help="JSON file to write")
+    parser.add_argument("--case", action="append", choices=[*CASES, *PROCESS_CASES],
+                        help="run only this case (repeatable)")
     args = parser.parse_args(argv)
     report = {
         "python": platform.python_version(),
@@ -344,6 +348,8 @@ def main(argv=None) -> int:
     }
     cases = [(name, build, op, measure) for name, (build, op) in CASES.items()]
     cases += [(name, *case, measure_process) for name, case in PROCESS_CASES.items()]
+    if args.case:
+        cases = [case for case in cases if case[0] in args.case]
     for name, build, op, meter in cases:
         report["cases"][name] = result = run_case(build, op, meter)
         medians = ", ".join(f"{r['n']}: {r['median_s']:.4f} s" for r in result["rows"])

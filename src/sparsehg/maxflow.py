@@ -39,8 +39,8 @@ class FlowNetwork:
         return self.cap[arc_index + 1]
 
     def max_flow(self, source: int, sink: int) -> int:
-        """Push a maximum source-sink flow into the residual capacities
-        and return its value."""
+        """Push on top of the residual capacities until they hold a maximum
+        source-sink flow, and return only the value this call adds."""
         total = 0
         while True:
             level = self._levels(source, sink)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cmp_to_key
+from itertools import compress
 
 from .core import (
     DirectedGraph,
@@ -89,7 +90,7 @@ class VertexOrder:
 
 def tree_order_violations(order: VertexOrder) -> list[str]:
     """Check that ``order`` is a forest order, from |carrier|^2 ``leq``
-    answers, listing violations in carrier order.
+    answers kept one byte each, listing violations in carrier order.
 
     Let p(x) be the element of down(x) - {x} with the largest down set.
     A reflexive, antisymmetric relation is a forest order exactly when
@@ -101,25 +102,23 @@ def tree_order_violations(order: VertexOrder) -> list[str]:
     """
     xs = order.carrier
     leq = order._leq  # the oracle itself, without the bool() of leq()
-    down = {x: [y for y in xs if leq(y, x)] for x in xs}
-    below = {x: set(d) for x, d in down.items()}
-    size = {x: len(d) for x, d in down.items()}
-    bad = [f"not reflexive at {x}" for x in xs if x not in below[x]]
-    bad += [
-        f"antisymmetry fails on {x},{y}"
-        for x in xs
-        for y in down[x]
-        if y != x and x in below[y]
-    ]
-    for x in xs:
-        strict = [y for y in down[x] if y != x]
-        if not strict:
-            continue
-        p = max(strict, key=size.__getitem__)
-        missing = below[p] - below[x] - {x}
-        extra = below[x] - below[p] - {x, p}
-        bad += [f"transitivity fails on {z},{p},{x}" for z in down[p] if z in missing]
-        bad += [f"downset of {x} not a chain: {y},{p}" for y in down[x] if y in extra]
+    # row i holds one 0/1 byte per carrier element: is it <= xs[i]?
+    rows = [bytes([1 if leq(y, x) else 0 for y in xs]) for x in xs]
+    at = list(range(len(xs)))  # a list: compress() yields its ints, makes none
+    size = [row.count(1) for row in rows]
+    bad = [f"not reflexive at {xs[i]}" for i in at if not rows[i][i]]
+    bad += [f"antisymmetry fails on {xs[i]},{xs[j]}"
+            for i in at for j in compress(at, rows[i]) if j != i and rows[j][i]]
+    for i, down in enumerate(rows):
+        strict = (j for j in compress(at, down) if j != i)
+        p = max(strict, key=size.__getitem__, default=None)
+        if p is None or rows[p][:i] == down[:i] and rows[p][i + 1 :] == down[i + 1 :]:
+            continue  # a root, or down(x) = {x} | down(p): nothing to report
+        up, x, px = rows[p], xs[i], xs[p]
+        bad += [f"transitivity fails on {xs[j]},{px},{x}"
+                for j in compress(at, up) if not down[j] and j != i]
+        bad += [f"downset of {x} not a chain: {xs[j]},{px}"
+                for j in compress(at, down) if not up[j] and j != i and j != p]
     return bad
 
 

@@ -123,16 +123,32 @@ def _solve_sparsity_network(h: Hypergraph, k: int):
     the edge -> member arc indices of every edge (in member order), and
     the witness: None when the maximum flow routes all |E| units,
     otherwise the vertices on the source side of the least minimum cut,
-    a set that violates sparsity and the same for every maximum flow."""
+    a set that violates sparsity and the same for every maximum flow.
+
+    Each edge, in id order, places its unit on its first member, in
+    member order, with load below k, written into the residual
+    capacities as the arcs are added; max_flow pushes the rest.  Dinic's
+    first phase would route just these units: its search labels every
+    edge node 1, every member 2 and the sink 3, and its blocking flow
+    takes edges in id order and members in member order, unlabelling a
+    vertex whose sink arc is full.  Later phases start from the same
+    residual network, so the flow and the witness are max_flow's own."""
     n, m = h.num_vertices, h.num_edges
     net = FlowNetwork(2 + m + n)
-    member_arcs = []
+    add_edge, cap = net.add_edge, net.cap
+    load, member_arcs = [0] * n, []
     for ei, members in enumerate(h.edges):
-        net.add_edge(0, 2 + ei, 1)
-        member_arcs.append([net.add_edge(2 + ei, 2 + m + v, 1) for v in members])
+        unit = add_edge(0, 2 + ei, 1)
+        arcs = [add_edge(2 + ei, 2 + m + v, 1) for v in members]
+        member_arcs.append(arcs)
+        for v, arc in zip(members, arcs):
+            if load[v] < k:
+                load[v] += 1
+                cap[unit], cap[unit + 1], cap[arc], cap[arc + 1] = 0, 1, 0, 1
+                break
     for v in range(n):
-        net.add_edge(2 + m + v, 1, k)
-    if net.max_flow(0, 1) == m:
+        cap[add_edge(2 + m + v, 1, k - load[v]) + 1] = load[v]
+    if sum(load) + net.max_flow(0, 1) == m:
         return net, member_arcs, None
     side = net.source_side(0)
     witness = sorted(v for v in range(n) if 2 + m + v in side)

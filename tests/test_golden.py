@@ -64,6 +64,14 @@ def _report(argv: list[str]) -> str:
     return f"exit {code}\n{buf.getvalue()}"
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 @pytest.mark.parametrize("name,argv", [pytest.param(*c, id=c[0]) for c in _cases()])
 def test_golden(name, argv, monkeypatch):
     monkeypatch.chdir(GOLDEN)
@@ -98,19 +106,30 @@ def test_numpy_loads_only_for_an_oracle_table():
     ]
     name = "sparsity-check-oracle"
     replay.append((name, cases[name], _expected(name), True))
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-c", _IMPORT_GUARD],
         input=json.dumps(replay),
         cwd=GOLDEN,
-        env=env,
+        env=_src_env(),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("module", ["sparsehg", "sparsehg.cli"])
+def test_runs_as_a_module(module):
+    # python -m runs the same command line as the installed script
+    result = subprocess.run(
+        [sys.executable, "-m", module, "sparsity", "check", "tri.hg", "--k", "1"],
+        cwd=GOLDEN,
+        env=_src_env(),
+        capture_output=True,
+        timeout=120,
+    )
+    report = f"exit {result.returncode}\n".encode() + result.stdout
+    assert report == (GOLDEN / "expected" / "sparsity-check-flow.txt").read_bytes()
 
 
 def test_cases_match_expected_files():

@@ -25,6 +25,7 @@ from sparsehg.generators import (
     rng_for,
 )
 from sparsehg import sparsity
+from sparsehg.maxflow import FlowNetwork
 from sparsehg.sparsity import (
     ORACLE_MAX_VERTICES,
     antisymmetric_orientation,
@@ -164,6 +165,74 @@ def test_degree_2k_graphs_are_k_sparse(seed):
     assert is_k_sparse(g, k).is_sparse
     f = bounded_orientation(g, k)
     assert max(preimage_counts(f), default=0) <= k
+
+
+def reference_solve_sparsity_network(h: Hypergraph, k: int):
+    """The sparsity network built at full capacity and solved by
+    max_flow alone, from a zero flow: the oracle for the first-fit
+    placement of ``sparsity._solve_sparsity_network``."""
+    n, m = h.num_vertices, h.num_edges
+    net = FlowNetwork(2 + m + n)
+    member_arcs = []
+    for ei, members in enumerate(h.edges):
+        net.add_edge(0, 2 + ei, 1)
+        member_arcs.append([net.add_edge(2 + ei, 2 + m + v, 1) for v in members])
+    for v in range(n):
+        net.add_edge(2 + m + v, 1, k)
+    if net.max_flow(0, 1) == m:
+        return net, member_arcs, None
+    side = net.source_side(0)
+    return net, member_arcs, sorted(v for v in range(n) if 2 + m + v in side)
+
+
+def first_fit_case(seed: int):
+    """A seeded hypergraph on 1-40 vertices with edges of 1-5 members,
+    some of them repeated, and a k from 1 to 4; the edge count runs up
+    to about twice k*n, so sparse and non-sparse cases both occur."""
+    rng = rng_for(seed, 15)
+    n = rng.randrange(1, 41)
+    k = rng.randrange(1, 5)
+    h = random_hypergraph(rng, n, rng.randrange(1, 6), rng.randrange(0, 2 * k * n + 2))
+    edges = list(h.edges)
+    if edges:
+        edges += [edges[rng.randrange(len(edges))] for _ in range(rng.randrange(4))]
+    return Hypergraph(h.vertex_labels, edges), k
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_first_fit_network_matches_reference(block):
+    verdicts = set()
+    for seed in range(300 * block, 300 * (block + 1)):
+        h, k = first_fit_case(seed)
+        net, arcs, witness = sparsity._solve_sparsity_network(h, k)
+        ref, ref_arcs, ref_witness = reference_solve_sparsity_network(h, k)
+        assert (net.cap, net.to, net.adj) == (ref.cap, ref.to, ref.adj), seed
+        assert (arcs, witness) == (ref_arcs, ref_witness), seed
+        verdicts.add(witness is None)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_first_fit_plus_max_flow_matches_networkx(seed, monkeypatch):
+    nx = pytest.importorskip("networkx")
+    h, k = first_fit_case(seed)
+    seen = []
+    solve = FlowNetwork.max_flow
+
+    def max_flow(net, s, t):
+        placed = sum(net.flow_on(a) for a in net.adj[s] if a % 2 == 0)
+        added = solve(net, s, t)
+        seen.append((net, placed, added))
+        return added
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", max_flow)
+    sparsity._solve_sparsity_network(h, k)
+    [(net, placed, added)] = seen
+    g = nx.DiGraph()
+    g.add_nodes_from((0, 1))
+    for a in range(0, len(net.to), 2):
+        g.add_edge(net.to[a + 1], net.to[a], capacity=net.cap[a] + net.cap[a + 1])
+    assert placed + added == nx.maximum_flow_value(g, 0, 1)
 
 
 def is_acyclic(g: DirectedGraph) -> bool:
