@@ -35,7 +35,10 @@ from .errors import InvalidFlow, NotKSparse, ParseError, SparseHGError, Undeclar
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
 
 def _load_hypergraph(args, path: str):
@@ -65,20 +68,13 @@ def _cmd_sparsity_check(args) -> list[str]:
     return [f"ok {args.k}-sparse method={method}"]
 
 
-def _orientation_lines(f) -> list[str]:
+def _cmd_orient(args) -> list[str]:
+    h = _load_hypergraph(args, args.hypergraph)
+    if args.verb == "bounded":
+        f = sparsity.bounded_orientation(h, args.k)
+    else:
+        f = sparsity.antisymmetric_orientation(h, args.k)
     return serialize_orientation(f).splitlines()
-
-
-def _cmd_orient_bounded(args) -> list[str]:
-    h = _load_hypergraph(args, args.hypergraph)
-    f = sparsity.bounded_orientation(h, args.k)
-    return _orientation_lines(f)
-
-
-def _cmd_orient_antisym(args) -> list[str]:
-    h = _load_hypergraph(args, args.hypergraph)
-    f = sparsity.antisymmetric_orientation(h, args.k)
-    return _orientation_lines(f)
 
 
 def _cmd_orient_hom(args) -> list[str]:
@@ -222,6 +218,61 @@ def _resolve_edge(h, label: str) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+# Option rows, (flag, add_argument keywords), that several verbs share.
+_K = ("--k", {"type": int, "required": True})
+_ROOT = ("--root", {"help": "root vertex label (default least id)"})
+
+# group -> (help, {verb -> (help, handler, positional input, option rows)}).
+# Handlers are this module's own functions, which look the library up
+# when they run, so a function rebound in its module is the one called.
+_VERBS = {
+    "sparsity": ("sparsity decisions", {
+        "check": ("decide k-sparsity", _cmd_sparsity_check, "hypergraph", [
+            _K,
+            ("--oracle", {"action": "store_true", "help": "use the subset-enumeration oracle"}),
+            ("--cap", {"type": int, "default": 20, "help": "vertex cap for the oracle"}),
+        ]),
+    }),
+    "orient": ("edge orientations", {
+        "bounded": ("preimages bounded by k", _cmd_orient, "hypergraph", [_K]),
+        "antisym": ("acyclic quotient, preimages within rank*k", _cmd_orient, "hypergraph", [_K]),
+        "hom": ("homomorphism of the oriented quotient into a digraph", _cmd_orient_hom,
+                "hypergraph", [_K, ("--target", {"required": True, "help": "digraph file"})]),
+    }),
+    "tree": ("spanning structures", {
+        "dfst": ("depth-first spanning tree", _cmd_tree_dfst, "hypergraph", [_ROOT]),
+        "priority": ("priority tree", _cmd_tree_priority, "hypergraph", [
+            _ROOT,
+            ("--leaves", {"required": True, "help": "comma-separated target edge labels"}),
+            ("--m", {"type": int, "help": "number of classes (default: rank)"}),
+        ]),
+    }),
+    "order": ("derived linear orders", {
+        "edges": ("order each edge's members", _cmd_order_edges, "hypergraph", []),
+        "neighbourhoods": ("order each in-neighbourhood of a digraph",
+                           _cmd_order_neighbourhoods, "digraph", []),
+    }),
+    "flow": ("distribution flows", {
+        "delta": ("compute a delta-flow", _cmd_flow_delta, "graph", [
+            _K, ("--dist", {"required": True, "help": "distribution file"}),
+        ]),
+        "paths": ("decompose into paths", _cmd_flow_paths, "graph", [
+            ("--k", {"type": int, "default": 1}),
+            ("--dist", {"required": True}),
+            ("--flow", {"help": "flow file (default: compute)"}),
+        ]),
+        "check": ("verify a delta-flow", _cmd_flow_check, "graph", [
+            ("--dist", {"required": True}), ("--flow", {"required": True}),
+        ]),
+    }),
+    "encode": ("set-by-vertex encodings", {
+        "refine": ("make a set-to-vertex map injective", _cmd_encode_refine, "graph", [
+            _K, ("--sets", {"required": True, "help": "set-function file"}),
+        ]),
+    }),
+}
+
+
 @functools.cache  # parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -233,93 +284,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None,
                         help="write the report to this file")
     groups = parser.add_subparsers(dest="group", required=True)
-
-    sparsity_p = groups.add_parser("sparsity", help="sparsity decisions")
-    sparsity_sub = sparsity_p.add_subparsers(dest="verb", required=True)
-    check = sparsity_sub.add_parser("check", help="decide k-sparsity",
-                                    parents=[common])
-    check.add_argument("hypergraph")
-    check.add_argument("--k", type=int, required=True)
-    check.add_argument("--oracle", action="store_true",
-                       help="use the subset-enumeration oracle")
-    check.add_argument("--cap", type=int, default=20,
-                       help="vertex cap for the oracle")
-    check.set_defaults(handler=_cmd_sparsity_check)
-
-    orient_p = groups.add_parser("orient", help="edge orientations")
-    orient_sub = orient_p.add_subparsers(dest="verb", required=True)
-    bounded = orient_sub.add_parser("bounded", help="preimages bounded by k", parents=[common])
-    bounded.add_argument("hypergraph")
-    bounded.add_argument("--k", type=int, required=True)
-    bounded.set_defaults(handler=_cmd_orient_bounded)
-    antisym = orient_sub.add_parser(
-        "antisym", help="acyclic quotient, preimages within rank*k", parents=[common]
-    )
-    antisym.add_argument("hypergraph")
-    antisym.add_argument("--k", type=int, required=True)
-    antisym.set_defaults(handler=_cmd_orient_antisym)
-    hom = orient_sub.add_parser(
-        "hom", help="homomorphism of the oriented quotient into a digraph"
-    , parents=[common])
-    hom.add_argument("hypergraph")
-    hom.add_argument("--k", type=int, required=True)
-    hom.add_argument("--target", required=True, help="digraph file")
-    hom.set_defaults(handler=_cmd_orient_hom)
-
-    tree_p = groups.add_parser("tree", help="spanning structures")
-    tree_sub = tree_p.add_subparsers(dest="verb", required=True)
-    dfst = tree_sub.add_parser("dfst", help="depth-first spanning tree", parents=[common])
-    dfst.add_argument("hypergraph")
-    dfst.add_argument("--root", help="root vertex label (default least id)")
-    dfst.set_defaults(handler=_cmd_tree_dfst)
-    prio = tree_sub.add_parser("priority", help="priority tree", parents=[common])
-    prio.add_argument("hypergraph")
-    prio.add_argument("--root", help="root vertex label (default least id)")
-    prio.add_argument("--leaves", required=True,
-                      help="comma-separated target edge labels")
-    prio.add_argument("--m", type=int, default=None,
-                      help="number of classes (default: rank)")
-    prio.set_defaults(handler=_cmd_tree_priority)
-
-    order_p = groups.add_parser("order", help="derived linear orders")
-    order_sub = order_p.add_subparsers(dest="verb", required=True)
-    edges = order_sub.add_parser("edges", help="order each edge's members", parents=[common])
-    edges.add_argument("hypergraph")
-    edges.set_defaults(handler=_cmd_order_edges)
-    nbhd = order_sub.add_parser(
-        "neighbourhoods", help="order each in-neighbourhood of a digraph"
-    , parents=[common])
-    nbhd.add_argument("digraph")
-    nbhd.set_defaults(handler=_cmd_order_neighbourhoods)
-
-    flow_p = groups.add_parser("flow", help="distribution flows")
-    flow_sub = flow_p.add_subparsers(dest="verb", required=True)
-    delta = flow_sub.add_parser("delta", help="compute a delta-flow", parents=[common])
-    delta.add_argument("graph")
-    delta.add_argument("--k", type=int, required=True)
-    delta.add_argument("--dist", required=True, help="distribution file")
-    delta.set_defaults(handler=_cmd_flow_delta)
-    paths = flow_sub.add_parser("paths", help="decompose into paths", parents=[common])
-    paths.add_argument("graph")
-    paths.add_argument("--k", type=int, default=1)
-    paths.add_argument("--dist", required=True)
-    paths.add_argument("--flow", help="flow file (default: compute)")
-    paths.set_defaults(handler=_cmd_flow_paths)
-    fcheck = flow_sub.add_parser("check", help="verify a delta-flow", parents=[common])
-    fcheck.add_argument("graph")
-    fcheck.add_argument("--dist", required=True)
-    fcheck.add_argument("--flow", required=True)
-    fcheck.set_defaults(handler=_cmd_flow_check)
-
-    encode_p = groups.add_parser("encode", help="set-by-vertex encodings")
-    encode_sub = encode_p.add_subparsers(dest="verb", required=True)
-    refine = encode_sub.add_parser(
-        "refine", help="make a set-to-vertex map injective"
-    , parents=[common])
-    refine.add_argument("graph")
-    refine.add_argument("--k", type=int, required=True)
-    refine.add_argument("--sets", required=True, help="set-function file")
-    refine.set_defaults(handler=_cmd_encode_refine)
+    for group, (group_help, verbs) in _VERBS.items():
+        group_p = groups.add_parser(group, help=group_help)
+        verb_ps = group_p.add_subparsers(dest="verb", required=True)
+        for verb, (verb_help, handler, positional, options) in verbs.items():
+            verb_p = verb_ps.add_parser(verb, help=verb_help, parents=[common])
+            verb_p.add_argument(positional)
+            for flag, keywords in options:
+                verb_p.add_argument(flag, **keywords)
+            verb_p.set_defaults(handler=handler)
 
     suite = groups.add_parser("suite", help="seeded verification suites",
                               parents=[common])

@@ -396,20 +396,11 @@ def function_from_flow(g: UndirectedGraph, d, f: Flow) -> dict[int, int]:
     """Partial map g with |g^-1(v)| = delta(v), built from a delta-flow.
 
     Cancels cycles, decomposes into paths and maps each path's end to
-    its start."""
-    if not check_delta_flow(f, d):
-        raise InvalidFlow("not a delta-flow for the given distribution")
-    acyclic = cancel_cycles(f)
-    family = decompose_flow_paths(g, acyclic, d)
-    gmap: dict[int, int] = {}
-    for path in family.paths:
-        assert path[-1] not in gmap
-        gmap[path[-1]] = path[0]
-    counts = [0] * g.num_vertices
-    for v in gmap.values():
-        counts[v] += 1
-    assert counts == list(d)
-    return gmap
+    its start.  ``cancel_cycles`` keeps the defect, so the decomposition
+    refuses a flow that is no delta-flow, and it asserts that the ends
+    are distinct and that the starts realize delta."""
+    family = decompose_flow_paths(g, cancel_cycles(f), d)
+    return {path[-1]: path[0] for path in family.paths}
 
 
 # --- file formats -----------------------------------------------------------

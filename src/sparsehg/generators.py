@@ -156,17 +156,15 @@ def random_sparse_distribution(
     return d
 
 
-def random_circulation(
-    rng: random.Random, g: UndirectedGraph, cycles: int, max_value: int = 3
-) -> Flow:
-    """Sum of up to ``cycles`` random simple cycles with random positive
-    values.  Graphs without cycles yield the zero flow."""
+def random_circulation(rng: random.Random, g: UndirectedGraph, cycles: int) -> Flow:
+    """Sum of up to ``cycles`` random simple cycles with random values
+    from 1 to 3.  Graphs without cycles yield the zero flow."""
     values: dict[tuple[int, int], int] = {}
     for _ in range(cycles):
         cycle = _random_cycle(rng, g)
         if cycle is None:
             continue
-        c = rng.randrange(1, max_value + 1)
+        c = rng.randrange(1, 4)
         closed = cycle + [cycle[0]]
         for u, v in zip(closed, closed[1:]):
             key, sign = ((u, v), 1) if u < v else ((v, u), -1)
@@ -200,13 +198,11 @@ def _random_cycle(rng: random.Random, g: UndirectedGraph):
     return None
 
 
-def random_set_function(
-    rng: random.Random, g: UndirectedGraph, k: int, max_member_count: int = 4
-):
+def random_set_function(rng: random.Random, g: UndirectedGraph, k: int):
     """Random finite set function whose induced distribution is k-sparse.
 
     Demands come from random_sparse_distribution; each demand unit gets
-    a globally distinct random vertex set."""
+    a globally distinct random vertex set of at most 4 members."""
     from .encoding import FiniteSetFunction
 
     d = random_sparse_distribution(rng, g, k)
@@ -216,7 +212,7 @@ def random_set_function(
     for v in range(n):
         for _ in range(d[v]):
             for _ in range(100):
-                size = rng.randrange(0, min(max_member_count, n) + 1)
+                size = rng.randrange(0, min(4, n) + 1)
                 xs = frozenset(sample(rng, range(n), size))
                 if xs not in used:
                     used.add(xs)

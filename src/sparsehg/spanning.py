@@ -460,22 +460,15 @@ def vertex_equiv(t: PriorityTree) -> list[EquivClass]:
     return classes
 
 
-def priority_tree_linear_order(
-    t: PriorityTree, leaf_order=None
-) -> VertexOrder:
+def priority_tree_linear_order(t: PriorityTree) -> VertexOrder:
     """Linear order on the tree's vertices.
 
-    Vertices are ranked by class index, then by their hyperpath class's
-    leaf edge under ``leaf_order`` (edge id order by default), then by
-    nearness to the leaf edge (shorter suffix first), and finally by a
-    slot refinement that separates the at-most-rank-many vertices
-    sharing one edge position.
+    Vertices are ranked by class index, then by the edge id of their
+    hyperpath class's leaf edge, then by nearness to the leaf edge
+    (shorter suffix first), and finally by a slot refinement that
+    separates the at-most-rank-many vertices sharing one edge position.
     """
-    if leaf_order is None:
-        leaf_order = sorted(t.leaf_edges)
-    leaf_rank = {e: i for i, e in enumerate(leaf_order)}
-    if set(leaf_rank) != set(t.leaf_edges):
-        raise MalformedTree("leaf_order must enumerate the leaf edges")
+    leaf_rank = {e: i for i, e in enumerate(sorted(t.leaf_edges))}
     classes = vertex_equiv(t)
     key: dict[int, tuple] = {}
     for c in classes:

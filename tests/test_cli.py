@@ -7,6 +7,7 @@ import pytest
 from sparsehg import sparsity, suites
 from sparsehg.cli import run
 from sparsehg.maxflow import FlowNetwork
+from test_golden import GOLDEN, help_snapshot
 
 
 TRIANGLE = "v a\nv b\nv c\ne ab a b\ne bc b c\ne ac a c\n"
@@ -62,6 +63,12 @@ def test_missing_file():
     code, text = cli("sparsity", "check", "/nonexistent.hg", "--k", "1")
     assert code == 2
     assert text.startswith("ERROR IO\n")
+
+
+def test_help_text_is_pinned():
+    # argparse prints help and usage errors outside the report, so the
+    # golden corpus pins them in one snapshot of every parser
+    assert help_snapshot() == (GOLDEN / "help.txt").read_text(encoding="utf-8")
 
 
 def test_malformed_input(files):

@@ -508,6 +508,12 @@ def test_function_from_flow_single_edge():
     assert gmap == {0: 0, 1: 0}
 
 
+def test_function_from_flow_rejects_a_non_delta_flow():
+    g = triangle()
+    with pytest.raises(InvalidFlow, match="delta-flow"):
+        function_from_flow(g, [2, 0, 0], Flow(g))
+
+
 def test_function_from_flow_cancels_first():
     g = triangle()
     gmap = function_from_flow(g, [1, 1, 1], circulation(g))

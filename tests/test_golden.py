@@ -3,8 +3,10 @@
 ``golden/cases.txt`` names one command line per case, run from the
 ``golden/`` directory so that every path in a report is relative.
 ``golden/expected/<name>.txt`` holds ``exit <code>`` on its first line
-and the exact stdout after it.  After an intended output change,
-rewrite the expected files from the current code with
+and the exact stdout after it.  ``golden/help.txt`` holds what argparse
+writes outside the report: every parser's ``--help`` text and one usage
+error.  After an intended output change, rewrite the expected files and
+the help text from the current code with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -13,16 +15,19 @@ and explain every diff.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from sparsehg.cli import run
+from sparsehg.cli import _build_parser, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -62,6 +67,33 @@ def _report(argv: list[str]) -> str:
     buf = io.StringIO()
     code = run(argv, out=buf)
     return f"exit {code}\n{buf.getvalue()}"
+
+
+def _parser_paths(parser, path=()):
+    """The verb path of ``parser`` and of every parser below it, depth first."""
+    yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parser_paths(sub, path + (name,))
+
+
+def help_snapshot() -> str:
+    """The ``--help`` text of every parser, then a missing-option error.
+
+    argparse prints these to sys.stdout and sys.stderr, not to the
+    report stream; COLUMNS fixes the width it wraps them to.
+    """
+    runs = [[*path, "--help"] for path in _parser_paths(_build_parser())]
+    runs.append(["orient", "bounded", "tri.hg"])
+    blocks = []
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for argv in runs:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+                code = run(argv, out=buf)
+            blocks.append(f"$ sparsehg {' '.join(argv)}\nexit {code}\n{buf.getvalue()}")
+    return "\n".join(blocks)
 
 
 def _src_env() -> dict:
@@ -143,3 +175,4 @@ if __name__ == "__main__":
     os.chdir(GOLDEN)
     for name, argv in _cases():
         Path("expected", f"{name}.txt").write_bytes(_report(argv).encode("utf-8"))
+    Path("help.txt").write_bytes(help_snapshot().encode("utf-8"))
