@@ -277,6 +277,7 @@ PROCESS_CASES = {
         hypergraph_file,
         lambda hp: ["orient", "bounded", hp[1], "--k", "4"],
     ),
+    "cli_process_tree_dfst": (hypergraph_file, lambda hp: ["tree", "dfst", hp[1]]),
 }
 
 

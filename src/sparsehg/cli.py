@@ -16,19 +16,8 @@ import argparse
 import functools
 import sys
 
-from . import flows, sparsity, spanning, suites
 from .core import (
-    _vertex_ids,
-    as_graph,
-    parse_digraph,
-    parse_hypergraph,
-    serialize_orientation,
-)
-from .encoding import (
-    parse_set_function,
-    refine_to_injective,
-    serialize_gmap,
-    serialize_set_function,
+    _vertex_ids, as_graph, parse_digraph, parse_hypergraph, serialize_orientation,
 )
 from .errors import InvalidFlow, NotKSparse, ParseError, SparseHGError, UndeclaredVertex
 
@@ -53,9 +42,13 @@ def _load_graph(args, path: str):
 
 
 # --- verb handlers ----------------------------------------------------------
+#
+# Each handler imports the library module it calls when it runs, so a
+# process loads only what its verb needs.
 
 
 def _cmd_sparsity_check(args) -> list[str]:
+    from . import sparsity
     h = _load_hypergraph(args, args.hypergraph)
     if args.oracle:
         report = sparsity.is_k_sparse_bruteforce(h, args.k, cap=args.cap)
@@ -69,6 +62,7 @@ def _cmd_sparsity_check(args) -> list[str]:
 
 
 def _cmd_orient(args) -> list[str]:
+    from . import sparsity
     h = _load_hypergraph(args, args.hypergraph)
     if args.verb == "bounded":
         f = sparsity.bounded_orientation(h, args.k)
@@ -78,6 +72,7 @@ def _cmd_orient(args) -> list[str]:
 
 
 def _cmd_orient_hom(args) -> list[str]:
+    from . import sparsity
     h = _load_hypergraph(args, args.hypergraph)
     target = parse_digraph(_read(args.target))
     f = sparsity.antisymmetric_orientation(h, args.k)
@@ -90,6 +85,7 @@ def _cmd_orient_hom(args) -> list[str]:
 
 
 def _cmd_tree_dfst(args) -> list[str]:
+    from . import spanning
     h = _load_hypergraph(args, args.hypergraph)
     root = _root(h, args)
     tree = spanning.build_dfst(h, root)
@@ -112,6 +108,7 @@ def _cmd_tree_dfst(args) -> list[str]:
 
 
 def _cmd_tree_priority(args) -> list[str]:
+    from . import spanning
     h = _load_hypergraph(args, args.hypergraph)
     root = _root(h, args)
     targets = [_resolve_edge(h, label) for label in args.leaves.split(",")]
@@ -131,6 +128,7 @@ def _cmd_tree_priority(args) -> list[str]:
 
 
 def _cmd_order_edges(args) -> list[str]:
+    from . import spanning
     h = _load_hypergraph(args, args.hypergraph)
     ordering = spanning.edge_ordering(h)
     return [
@@ -141,6 +139,7 @@ def _cmd_order_edges(args) -> list[str]:
 
 
 def _cmd_order_neighbourhoods(args) -> list[str]:
+    from . import spanning
     g = parse_digraph(_read(args.digraph))
     ordering = spanning.neighbourhood_ordering(g)
     lines = []
@@ -151,6 +150,7 @@ def _cmd_order_neighbourhoods(args) -> list[str]:
 
 
 def _cmd_flow_delta(args) -> list[str]:
+    from . import flows
     g = _load_graph(args, args.graph)
     d = flows.parse_distribution(_read(args.dist), g)
     f = flows.compute_delta_flow(g, d, args.k)
@@ -158,6 +158,7 @@ def _cmd_flow_delta(args) -> list[str]:
 
 
 def _cmd_flow_paths(args) -> list[str]:
+    from . import flows
     g = _load_graph(args, args.graph)
     d = flows.parse_distribution(_read(args.dist), g)
     if args.flow is not None:
@@ -173,6 +174,7 @@ def _cmd_flow_paths(args) -> list[str]:
 
 
 def _cmd_flow_check(args) -> list[str]:
+    from . import flows
     g = _load_graph(args, args.graph)
     d = flows.parse_distribution(_read(args.dist), g)
     f = flows.parse_flow(_read(args.flow), g)
@@ -187,17 +189,19 @@ def _cmd_flow_check(args) -> list[str]:
 
 
 def _cmd_encode_refine(args) -> list[str]:
+    from . import encoding
     g = _load_graph(args, args.graph)
-    h = parse_set_function(_read(args.sets), g)
-    h0, gmap = refine_to_injective(g, h, args.k)
+    h = encoding.parse_set_function(_read(args.sets), g)
+    h0, gmap = encoding.refine_to_injective(g, h, args.k)
     lines = ["# h0"]
-    lines.extend(serialize_set_function(h0, g).splitlines())
+    lines.extend(encoding.serialize_set_function(h0, g).splitlines())
     lines.append("# gmap")
-    lines.extend(serialize_gmap(gmap, g).splitlines())
+    lines.extend(encoding.serialize_gmap(gmap, g).splitlines())
     return lines
 
 
 def _cmd_suite(args) -> list[str]:
+    from . import suites
     if args.n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {args.n}")
     sizes = suites.parse_sizes(args.sizes, args.name)

@@ -14,14 +14,10 @@ from dataclasses import dataclass
 
 from .core import UndirectedGraph, _content_lines, _vertex_ids
 from .errors import (
-    DuplicateLabel,
-    InvalidFlow,
-    NotSparseDistribution,
-    ParseError,
-    UndeclaredVertex,
+    DuplicateLabel, InvalidFlow, NotSparseDistribution, ParseError, UndeclaredVertex,
 )
 from .maxflow import FlowNetwork
-from .sparsity import _count_table, _first_max_excess_subset
+from .sparsity import _check_k, _count_table, _first_max_excess_subset
 
 
 def border(g: UndirectedGraph, z) -> list[int]:
@@ -133,6 +129,7 @@ def is_k_sparse_distribution_bruteforce(
     ``is_k_sparse_distribution`` names, found as the first maximum in
     numeric mask order.
     """
+    _check_k(k)
     n, m = g.num_vertices, len(g.edges)
     total = sum(d)
 
@@ -214,6 +211,7 @@ def _route_increment(net: FlowNetwork, d, v: int) -> bool:
 def is_k_sparse_distribution(g: UndirectedGraph, d, k: int):
     """Flow-based sparsity check with a violating set from the min cut;
     one max-flow solve of the delta network."""
+    _check_k(k)
     witness = _solve_delta_network(g, d, k)[3]
     return witness is None, witness
 
@@ -223,6 +221,7 @@ def compute_delta_flow(g: UndirectedGraph, d, k: int) -> Flow:
 
     The sparsity decision and the flow come from one max-flow solve of
     the delta network."""
+    _check_k(k)
     net, forward, backward, witness = _solve_delta_network(g, d, k)
     if witness is not None:
         raise NotSparseDistribution(

@@ -12,25 +12,17 @@ per-edge member orderings.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cmp_to_key
 from itertools import compress
 
 from .core import (
-    DirectedGraph,
-    Hypergraph,
-    Orientation,
-    _forest_index,
-    connected_components,
+    DirectedGraph, Hypergraph, Orientation, _forest_index, connected_components,
     is_connected,
 )
 from .errors import (
-    CapExceeded,
-    ClassOverflow,
-    Disconnected,
-    MalformedTree,
-    NoHyperpath,
-    NotATreeNode,
+    CapExceeded, ClassOverflow, Disconnected, MalformedTree, NoHyperpath, NotATreeNode,
 )
 
 
@@ -89,8 +81,8 @@ class VertexOrder:
 
 
 def tree_order_violations(order: VertexOrder) -> list[str]:
-    """Check that ``order`` is a forest order, from |carrier|^2 ``leq``
-    answers kept one byte each, listing violations in carrier order.
+    """Check that ``order`` is a forest order from |carrier|^2 ``leq``
+    answers, listing violations in carrier order.
 
     Let p(x) be the element of down(x) - {x} with the largest down set.
     A reflexive, antisymmetric relation is a forest order exactly when
@@ -98,28 +90,62 @@ def tree_order_violations(order: VertexOrder) -> list[str]:
     shrink by one along p, so the relation is ancestry in the forest of
     p, and transitivity, chain down sets and infima follow.  A missing
     z is reported as ``transitivity fails on z,p,x``, an extra y as
-    ``downset of x not a chain: y,p``.
+    ``downset of x not a chain: y,p``.  If the relation is reflexive and
+    down sets strictly shrink along p, every y below x has a smaller down
+    set than x, so no pair is antisymmetric and no search for one is made.
     """
     xs = order.carrier
     leq = order._leq  # the oracle itself, without the bool() of leq()
-    # row i holds one 0/1 byte per carrier element: is it <= xs[i]?
-    rows = [bytes([1 if leq(y, x) else 0 for y in xs]) for x in xs]
-    at = list(range(len(xs)))  # a list: compress() yields its ints, makes none
-    size = [row.count(1) for row in rows]
-    bad = [f"not reflexive at {xs[i]}" for i in at if not rows[i][i]]
-    bad += [f"antisymmetry fails on {xs[i]},{xs[j]}"
-            for i in at for j in compress(at, rows[i]) if j != i and rows[j][i]]
-    for i, down in enumerate(rows):
-        strict = (j for j in compress(at, down) if j != i)
-        p = max(strict, key=size.__getitem__, default=None)
-        if p is None or rows[p][:i] == down[:i] and rows[p][i + 1 :] == down[i + 1 :]:
-            continue  # a root, or down(x) = {x} | down(p): nothing to report
-        up, x, px = rows[p], xs[i], xs[p]
-        bad += [f"transitivity fails on {xs[j]},{px},{x}"
-                for j in compress(at, up) if not down[j] and j != i]
-        bad += [f"downset of {x} not a chain: {xs[j]},{px}"
-                for j in compress(at, down) if not up[j] and j != i and j != p]
-    return bad
+    n = len(xs)
+    at = list(range(n))  # a list: compress() yields its ints, makes none
+    # down(xs[i]) as the sorted positions of its members while that list
+    # is smaller than one 0/1 byte per carrier element, else as the bytes
+    rows, size = [], []
+    for x in xs:
+        row = bytes([1 if leq(y, x) else 0 for y in xs])
+        size.append(row.count(1))
+        rows.append(list(compress(at, row)) if 8 * size[-1] < n else row)
+
+    def has(i, j):  # is xs[j] <= xs[i]?
+        row = rows[i]
+        if type(row) is bytes:
+            return row[j]
+        k = bisect_left(row, j)
+        return k < len(row) and row[k] == j
+
+    def without(i, j):  # down(xs[j]) - {xs[i]}, kept as rows[j] is
+        row = rows[j]
+        if type(row) is bytes:
+            return row[:i] + b"\0" + row[i + 1 :]
+        k = bisect_left(row, i)
+        return row[:k] + row[k + 1 :] if row[k : k + 1] == [i] else row
+
+    def positions(row):
+        return row if type(row) is list else list(compress(at, row))
+
+    bad = [f"not reflexive at {xs[i]}" for i in at if not has(i, i)]
+    shrinks, later = not bad, []
+    for i in at:
+        below = without(i, i)
+        members = compress(at, below) if type(below) is bytes else below
+        p = max(members, key=size.__getitem__, default=None)
+        if p is None:
+            continue  # a root
+        shrinks = shrinks and size[p] < size[i]
+        up = without(i, p)
+        if type(up) is not type(below):
+            up, below = positions(up), positions(below)
+        if up == below:
+            continue  # down(x) = {x} | down(p): nothing to report
+        x, px = xs[i], xs[p]
+        later += [f"transitivity fails on {xs[j]},{px},{x}"
+                  for j in positions(up) if not has(i, j)]
+        later += [f"downset of {x} not a chain: {xs[j]},{px}"
+                  for j in positions(below) if j != p and not has(p, j)]
+    if not shrinks or later:
+        bad += [f"antisymmetry fails on {xs[i]},{xs[j]}"
+                for i in at for j in positions(rows[i]) if j != i and has(j, i)]
+    return bad + later
 
 
 # --- hyperpaths -------------------------------------------------------------

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 from .core import DirectedGraph, Hypergraph, Orientation, UndirectedGraph, preimage_counts
 from .core import directed_quotient
 from .errors import (
-    CapExceeded,
-    MalformedPartition,
-    NoHomomorphism,
-    NotKSparse,
-    RankTooSmall,
+    CapExceeded, MalformedPartition, NoHomomorphism, NotKSparse, RankTooSmall,
 )
 from .maxflow import FlowNetwork
 

@@ -10,47 +10,24 @@ from __future__ import annotations
 
 from .core import preimage_counts
 from .encoding import refine_to_injective, verify_encoding
-from .errors import NotKSparse
+from .errors import CapExceeded, NotKSparse
 from .flows import (
-    Flow,
-    bounds,
-    cancel_cycles,
-    check_delta_flow,
-    compute_delta_flow,
-    decompose_flow_paths,
-    defect,
-    function_from_flow,
-    is_k_sparse_distribution,
-    is_k_sparse_distribution_bruteforce,
-    _find_positive_cycle,
+    Flow, bounds, cancel_cycles, check_delta_flow, compute_delta_flow,
+    decompose_flow_paths, defect, function_from_flow, is_k_sparse_distribution,
+    is_k_sparse_distribution_bruteforce, _find_positive_cycle,
 )
 from .generators import (
-    random_circulation,
-    random_connected_graph,
-    random_connected_hypergraph,
-    random_graph_max_degree,
-    random_hypergraph,
-    random_set_function,
-    random_sparse_distribution,
-    rng_for,
-    sample,
+    random_circulation, random_connected_graph, random_connected_hypergraph,
+    random_graph_max_degree, random_hypergraph, random_set_function,
+    random_sparse_distribution, rng_for, sample,
 )
 from .sparsity import (
-    antisymmetric_orientation,
-    bounded_orientation,
-    directed_quotient,
-    is_k_sparse,
+    antisymmetric_orientation, bounded_orientation, directed_quotient, is_k_sparse,
     is_k_sparse_bruteforce,
 )
 from .spanning import (
-    aux_order,
-    build_dfst,
-    build_priority_tree,
-    dfst_orientation,
-    edge_order,
-    priority_tree_linear_order,
-    tree_order_violations,
-    validate_dfst,
+    aux_order, build_dfst, build_priority_tree, dfst_orientation, edge_order,
+    priority_tree_linear_order, tree_order_violations, validate_dfst,
     validate_priority_tree,
 )
 
@@ -64,6 +41,12 @@ KS = (1, 2, 3)
 
 BRUTE_CAP = 20
 
+# Largest vertex count a suite accepts.  One instance's tracemalloc peak
+# grows as size^2 (the generators list every vertex pair): 7.1 MiB at
+# size 400 and 31 MiB at 800 for lemmas and pipeline, so about 200 MiB
+# at 2,000.
+SUITE_MAX_SIZE = 2000
+
 
 def parse_sizes(text, suite: str):
     if text is None:
@@ -74,6 +57,8 @@ def parse_sizes(text, suite: str):
     sizes = [int(part) for part in text.split(",")]
     if min(sizes) < 1:
         raise ValueError(f"sizes must be positive integers, got {min(sizes)}")
+    if max(sizes) > SUITE_MAX_SIZE:
+        raise CapExceeded(f"size {max(sizes)} exceeds the suite ceiling {SUITE_MAX_SIZE}")
     return sizes
 
 

@@ -470,3 +470,16 @@ def test_suite_refuses_bad_arguments_before_any_work(argv, detail, monkeypatch):
 
     monkeypatch.setattr(suites, "run_suite", no_work)
     assert cli("suite", "pipeline", *argv) == (2, f"ERROR Usage\ndetail {detail}\n")
+
+
+@pytest.mark.parametrize("name", ["oracle", "lemmas", "pipeline"])
+def test_suite_refuses_sizes_above_the_ceiling_before_any_work(name, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("suite started")
+
+    monkeypatch.setattr(suites, "run_suite", no_work)
+    over = suites.SUITE_MAX_SIZE + 1
+    assert cli("suite", name, "--sizes", f"8,{over}") == (
+        1, f"ERROR CapExceeded\ndetail size {over} exceeds the suite ceiling 2000\n"
+    )
+    assert suites.parse_sizes(str(suites.SUITE_MAX_SIZE), name) == [2000]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -350,3 +351,36 @@ def test_unchecked_constructor_matches_hypergraph_on_generator_outputs(seed):
     outputs.append(induced_subhypergraph(outputs[0], inside))
     for x in outputs:
         assert_same_hypergraph(x, type(x)(x.vertex_labels, x.edges, x.edge_labels))
+
+
+def test_package_exports_each_name_from_its_module():
+    # sparsehg serves its names lazily from one table: each imports with
+    # ``from sparsehg import X`` as its module's own object, and dir()
+    # and __all__ list it
+    import sparsehg
+
+    exported = 0
+    for module, names in sparsehg._EXPORTS.items():
+        home = importlib.import_module(f"sparsehg.{module}")
+        for name in names.split():
+            scope: dict = {}
+            exec(f"from sparsehg import {name}", scope)
+            assert scope[name] is getattr(home, name), name
+            assert name in dir(sparsehg) and name in sparsehg.__all__, name
+            exported += 1
+    assert exported == 87
+    with pytest.raises(AttributeError):
+        sparsehg.no_such_name
+
+
+def test_star_import_binds_the_names_and_modules():
+    # the 87 names and the seven modules that ``import *`` bound when the
+    # package imported every module at once
+    import sparsehg
+
+    scope: dict = {}
+    exec("from sparsehg import *", scope)
+    modules = {"core", "errors", "sparsity", "spanning", "flows", "encoding", "maxflow"}
+    assert set(scope) - {"__builtins__"} == set(sparsehg.__all__)
+    assert len(sparsehg.__all__) == len(set(sparsehg.__all__)) == 94
+    assert modules <= set(scope)

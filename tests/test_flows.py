@@ -192,6 +192,19 @@ def test_bruteforce_ceiling_ignores_cap(monkeypatch):
         is_k_sparse_distribution_bruteforce(g, [0] * n, 1, cap=-1)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_flow_decisions_refuse_k_below_one(monkeypatch, k):
+    # refused before any work: a distribution no k could make sparse,
+    # and no numpy for the oracle's table
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    g = UndirectedGraph(["a", "b"], [(0, 1)])
+    d = [5, 5]
+    for decide in (compute_delta_flow, is_k_sparse_distribution,
+                   is_k_sparse_distribution_bruteforce):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            decide(g, d, k)
+
+
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_sparsity_routes_agree(seed):

@@ -27,7 +27,7 @@ from unittest import mock
 
 import pytest
 
-from sparsehg.cli import _build_parser, run
+from sparsehg.cli import _VERBS, _build_parser, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -35,17 +35,38 @@ GOLDEN = Path(__file__).parent / "golden"
 # case must run without loading numpy.
 TABLE_CASES = ("sparsity-check-oracle", "sparsity-check-witness-oracle", "suite-oracle")
 
-# Replays (name, argv, expected report, numpy loaded after it) tuples,
-# read from stdin, in one fresh interpreter.
+# The sparsehg modules each command group loads; a verb imports only
+# the library module it calls, and what that module imports.
+_CLI = ["sparsehg", "sparsehg.cli", "sparsehg.core", "sparsehg.errors"]
+_DECIDE = ["sparsehg.maxflow", "sparsehg.sparsity"]
+_SPAN = ["sparsehg.spanning"]
+_FLOW = ["sparsehg.flows", *_DECIDE]
+GROUP_MODULES = {
+    "sparsity": _CLI + _DECIDE,
+    "orient": _CLI + _DECIDE,
+    "tree": _CLI + _SPAN,
+    "order": _CLI + _SPAN,
+    "flow": _CLI + _FLOW,
+    "encode": _CLI + _FLOW + ["sparsehg.encoding"],
+    "suite": _CLI + _FLOW + _SPAN
+    + ["sparsehg.encoding", "sparsehg.generators", "sparsehg.suites"],
+}
+
+# Replays (name, argv, expected report, numpy loaded after it, sparsehg
+# modules loaded after it or None) tuples, read from stdin, in one fresh
+# interpreter.
 _IMPORT_GUARD = """
 import io, json, sys
 import sparsehg, sparsehg.cli
 assert "numpy" not in sys.modules, "import sparsehg"
-for name, argv, expected, loaded in json.load(sys.stdin):
+for name, argv, expected, loaded, modules in json.load(sys.stdin):
     buf = io.StringIO()
     code = sparsehg.cli.run(argv, out=buf)
     assert f"exit {code}\\n{buf.getvalue()}" == expected, name
     assert ("numpy" in sys.modules) == loaded, name
+    if modules is not None:
+        got = sorted(m for m in sys.modules if m.partition(".")[0] == "sparsehg")
+        assert got == sorted(modules), (name, got)
 """
 
 
@@ -132,12 +153,57 @@ def test_numpy_loads_only_for_an_oracle_table():
     cases = dict(_cases())
     assert {"sparsity-check-cap", "usage-cap"} <= cases.keys() - set(TABLE_CASES)
     replay = [
-        (name, argv, _expected(name), False)
+        (name, argv, _expected(name), False, None)
         for name, argv in cases.items()
         if name not in TABLE_CASES
     ]
     name = "sparsity-check-oracle"
-    replay.append((name, cases[name], _expected(name), True))
+    replay.append((name, cases[name], _expected(name), True, None))
+    _replay_fresh(replay)
+
+
+def _verb_cases() -> dict:
+    """The first golden case of each verb, by its command words."""
+    first: dict = {}
+    for name, argv in _cases():
+        verb = tuple(argv[:2])
+        if verb[0] in GROUP_MODULES:
+            first.setdefault(verb, (name, argv))
+    return first
+
+
+@pytest.mark.parametrize(
+    "name,argv", [pytest.param(*c, id=" ".join(v)) for v, c in _verb_cases().items()]
+)
+def test_verb_loads_only_its_modules(name, argv):
+    # a fresh interpreter per verb: the sparsehg modules in sys.modules
+    # after one golden case are exactly its group's
+    _replay_fresh([(name, argv, _expected(name), name in TABLE_CASES,
+                    GROUP_MODULES[argv[0]])])
+
+
+def test_every_verb_has_a_module_case():
+    verbs = {(group, verb) for group, (_, table) in _VERBS.items() for verb in table}
+    verbs |= {("suite", name) for name in ("oracle", "lemmas", "pipeline")}
+    assert verbs == set(_verb_cases())
+
+
+def test_import_loads_a_module_when_a_name_needs_it():
+    code = """
+import sys, sparsehg
+loaded = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "sparsehg")
+assert loaded() == ["sparsehg"], loaded()
+assert sparsehg.build_dfst is sys.modules["sparsehg.spanning"].build_dfst
+assert sparsehg.flows.bounds is sparsehg.bounds  # a module, as an attribute
+assert loaded() == ["sparsehg", *sorted(f"sparsehg.{m}" for m in (
+    "core", "errors", "flows", "maxflow", "sparsity", "spanning"))], loaded()
+"""
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+def _replay_fresh(replay) -> None:
     result = subprocess.run(
         [sys.executable, "-c", _IMPORT_GUARD],
         input=json.dumps(replay),

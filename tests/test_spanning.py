@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,12 +146,12 @@ def reference_tree_order_violations(order: VertexOrder) -> list[str]:
     return bad
 
 
-def random_relation(rng, family: int) -> VertexOrder:
-    """A relation on at most 6 shuffled labels: a random forest order
-    (family 0), one with 1-3 pairs toggled (1), or an arbitrary relation
-    that is reflexive at most places (2)."""
-    n = 1 + rng.randrange(6)
-    carrier = sample(rng, range(10), n)
+def random_relation(rng, family: int, size: int = 6) -> VertexOrder:
+    """A relation on at most ``size`` shuffled labels: a random forest
+    order (family 0), one with 1-3 pairs toggled (1), or an arbitrary
+    relation that is reflexive at most places (2)."""
+    n = 1 + rng.randrange(size)
+    carrier = sample(rng, range(size + 4), n)
     pairs = set()
     if family < 2:
         parent = {}
@@ -191,6 +192,43 @@ def test_tree_order_violations_matches_reference(block):
         verdicts[family, got == []] += 1
     assert verdicts[0, True] > 0 and verdicts[0, False] == 0
     assert all(verdicts[family, ok] > 0 for family in (1, 2) for ok in (True, False))
+
+
+def byte_rows_tree_order_violations(order: VertexOrder) -> list[str]:
+    """The replaced checker: the same checks on one 0/1 byte per
+    carrier element in every down set, short or long."""
+    xs = order.carrier
+    rows = [bytes([1 if order.leq(y, x) else 0 for y in xs]) for x in xs]
+    at = list(range(len(xs)))
+    size = [row.count(1) for row in rows]
+    bad = [f"not reflexive at {xs[i]}" for i in at if not rows[i][i]]
+    bad += [f"antisymmetry fails on {xs[i]},{xs[j]}"
+            for i in at for j in compress(at, rows[i]) if j != i and rows[j][i]]
+    for i, down in enumerate(rows):
+        strict = (j for j in compress(at, down) if j != i)
+        p = max(strict, key=size.__getitem__, default=None)
+        if p is None or rows[p][:i] == down[:i] and rows[p][i + 1 :] == down[i + 1 :]:
+            continue
+        up, x, px = rows[p], xs[i], xs[p]
+        bad += [f"transitivity fails on {xs[j]},{px},{x}"
+                for j in compress(at, up) if not down[j] and j != i]
+        bad += [f"downset of {x} not a chain: {xs[j]},{px}"
+                for j in compress(at, down) if not up[j] and j != i and j != p]
+    return bad
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_tree_order_violations_matches_byte_rows(block):
+    # up to 30 elements, so down sets are kept both as position lists
+    # and as byte rows, and the search for antisymmetric pairs is both
+    # made and skipped: the same messages in the same order
+    forests = 0
+    for seed in range(1000 * block, 1000 * (block + 1)):
+        order = random_relation(rng_for(seed, 98), seed % 3, size=30)
+        got = tree_order_violations(order)
+        assert got == byte_rows_tree_order_violations(order), order.carrier
+        forests += not got
+    assert 0 < forests < 1000
 
 
 def path_priority_tree(num_edges: int) -> PriorityTree:
