@@ -9,10 +9,11 @@ n, m and rank, the median and the minimum of 5 timed runs
 ``tracemalloc``.  A ``cli_process_*`` row times a command line in a
 fresh interpreter instead, and holds the median of the child's
 ``ru_maxrss`` from ``os.wait4`` (``child_maxrss_mib``) in place of the
-``tracemalloc`` peak.  A case stops before a size whose projected cost, four
-times what the previous size took with its input set-up, would exceed
-its 30 s budget, and lists the sizes it skipped.  The CPU count and
-Python version are recorded once per file.  ``--case`` (repeatable)
+``tracemalloc`` peak.  A case whose input takes seconds to build
+beyond some size declares that largest size in ``LARGEST`` and lists
+the sizes above it as skipped, so that both checkouts of a pair run the
+same rows whatever the machine's load.  The CPU count and Python
+version are recorded once per file.  ``--case`` (repeatable)
 runs only the named cases, so that two checkouts can take turns case
 by case on one machine.
 
@@ -47,7 +48,16 @@ from sparsehg import cli, core, encoding, flows, generators, sparsity, spanning 
 
 SIZES = (100, 200, 400, 800, 1600, 3200)
 RUNS = 5
-BUDGET_S = 30.0  # per case
+# the largest size of each case whose seeded input takes seconds to
+# build beyond it, the generators being quadratic (as in BENCH_15.json)
+LARGEST = {
+    "random_connected_hypergraph": 800,
+    "random_set_function": 800,
+    "random_connected_graph": 1600,
+    "random_graph_max_degree": 1600,
+    "random_sparse_distribution": 1600,
+    "refine_to_injective": 1600,
+}
 
 
 def hypergraph(n):
@@ -318,19 +328,13 @@ def measure_process(command, x) -> dict:
     }
 
 
-def run_case(build, op, meter) -> dict:
-    rows, skipped = [], []
-    spent, last = 0.0, 0.0
+def run_case(build, op, meter, largest) -> dict:
+    rows = []
     for n in SIZES:
-        if skipped or spent + 4 * last > BUDGET_S:
-            skipped.append(n)
-            continue
-        start = time.perf_counter()
-        x = build(n)
-        rows.append({**shape(x), **meter(op, x)})
-        last = time.perf_counter() - start
-        spent += last
-    return {"rows": rows, "skipped": skipped}
+        if n <= largest:
+            x = build(n)
+            rows.append({**shape(x), **meter(op, x)})
+    return {"rows": rows, "skipped": [n for n in SIZES if n > largest]}
 
 
 def main(argv=None) -> int:
@@ -344,7 +348,7 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "sizes": list(SIZES),
         "runs": RUNS,
-        "budget_s": BUDGET_S,
+        "largest": LARGEST,
         "cases": {},
     }
     cases = [(name, build, op, measure) for name, (build, op) in CASES.items()]
@@ -352,7 +356,8 @@ def main(argv=None) -> int:
     if args.case:
         cases = [case for case in cases if case[0] in args.case]
     for name, build, op, meter in cases:
-        report["cases"][name] = result = run_case(build, op, meter)
+        largest = LARGEST.get(name, SIZES[-1])
+        report["cases"][name] = result = run_case(build, op, meter, largest)
         medians = ", ".join(f"{r['n']}: {r['median_s']:.4f} s" for r in result["rows"])
         print(f"{name}: {medians}; skipped {result['skipped']}", file=sys.stderr)
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")

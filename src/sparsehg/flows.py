@@ -330,18 +330,19 @@ class PathFamily:
         return counts
 
 
-def decompose_flow_paths(g: UndirectedGraph, f: Flow, d) -> PathFamily:
+def decompose_flow_paths(g: UndirectedGraph, f: Flow, d, *, _acyclic=False) -> PathFamily:
     """Path family of an acyclic delta-flow.
 
     For every vertex v and each of its delta(v) demands (in vertex-id
     order), grow a path: stop at the first vertex no path has ended at
     yet, otherwise follow the least-id arc with flow left over.  Ends
     are distinct, starts realize delta, and arc usage stays below the
-    flow value.
+    flow value.  ``_acyclic`` skips the search for a positive cycle, for
+    a flow that ``cancel_cycles`` has made.
     """
     if not check_delta_flow(f, d):
         raise InvalidFlow("not a delta-flow for the given distribution")
-    if _find_positive_cycle(f) is not None:
+    if not _acyclic and _find_positive_cycle(f) is not None:
         raise InvalidFlow("flow has a positive cycle")
     n = g.num_vertices
     # no arc of u before g.adjacency[u][first[u]] has flow left; flow is
@@ -395,10 +396,10 @@ def function_from_flow(g: UndirectedGraph, d, f: Flow) -> dict[int, int]:
     """Partial map g with |g^-1(v)| = delta(v), built from a delta-flow.
 
     Cancels cycles, decomposes into paths and maps each path's end to
-    its start.  ``cancel_cycles`` keeps the defect, so the decomposition
-    refuses a flow that is no delta-flow, and it asserts that the ends
-    are distinct and that the starts realize delta."""
-    family = decompose_flow_paths(g, cancel_cycles(f), d)
+    its start.  ``cancel_cycles`` keeps the defect and leaves no cycle, so
+    the decomposition searches for none, refuses a flow that is no
+    delta-flow, and asserts that ends are distinct and starts realize delta."""
+    family = decompose_flow_paths(g, cancel_cycles(f), d, _acyclic=True)
     return {path[-1]: path[0] for path in family.paths}
 
 

@@ -12,7 +12,6 @@ per-edge member orderings.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cmp_to_key
 from itertools import compress
@@ -96,55 +95,34 @@ def tree_order_violations(order: VertexOrder) -> list[str]:
     """
     xs = order.carrier
     leq = order._leq  # the oracle itself, without the bool() of leq()
-    n = len(xs)
-    at = list(range(n))  # a list: compress() yields its ints, makes none
-    # down(xs[i]) as the sorted positions of its members while that list
-    # is smaller than one 0/1 byte per carrier element, else as the bytes
-    rows, size = [], []
-    for x in xs:
-        row = bytes([1 if leq(y, x) else 0 for y in xs])
-        size.append(row.count(1))
-        rows.append(list(compress(at, row)) if 8 * size[-1] < n else row)
+    at = list(range(len(xs)))  # a list: compress() yields its ints, makes none
+    # down(xs[i]) as an int whose bit j is set iff xs[j] <= xs[i]
+    rows = [int(bytes([49 if leq(y, x) else 48 for y in reversed(xs)]), 2) for x in xs]
+    size = [row.bit_count() for row in rows]
+    digits = bytes.maketrans(b"01", b"\0\1")
 
-    def has(i, j):  # is xs[j] <= xs[i]?
-        row = rows[i]
-        if type(row) is bytes:
-            return row[j]
-        k = bisect_left(row, j)
-        return k < len(row) and row[k] == j
+    def positions(row):  # the set bits of row, ascending
+        return compress(at, bin(row)[:1:-1].encode().translate(digits))
 
-    def without(i, j):  # down(xs[j]) - {xs[i]}, kept as rows[j] is
-        row = rows[j]
-        if type(row) is bytes:
-            return row[:i] + b"\0" + row[i + 1 :]
-        k = bisect_left(row, i)
-        return row[:k] + row[k + 1 :] if row[k : k + 1] == [i] else row
-
-    def positions(row):
-        return row if type(row) is list else list(compress(at, row))
-
-    bad = [f"not reflexive at {xs[i]}" for i in at if not has(i, i)]
+    bad = [f"not reflexive at {xs[i]}" for i in at if not rows[i] >> i & 1]
     shrinks, later = not bad, []
-    for i in at:
-        below = without(i, i)
-        members = compress(at, below) if type(below) is bytes else below
-        p = max(members, key=size.__getitem__, default=None)
+    for i, row in enumerate(rows):
+        below = row & ~(1 << i)
+        p = max(positions(below), key=size.__getitem__, default=None)
         if p is None:
             continue  # a root
         shrinks = shrinks and size[p] < size[i]
-        up = without(i, p)
-        if type(up) is not type(below):
-            up, below = positions(up), positions(below)
+        up = rows[p] & ~(1 << i)
         if up == below:
             continue  # down(x) = {x} | down(p): nothing to report
         x, px = xs[i], xs[p]
         later += [f"transitivity fails on {xs[j]},{px},{x}"
-                  for j in positions(up) if not has(i, j)]
+                  for j in positions(up & ~row)]
         later += [f"downset of {x} not a chain: {xs[j]},{px}"
-                  for j in positions(below) if j != p and not has(p, j)]
+                  for j in positions(below & ~rows[p] & ~(1 << p))]
     if not shrinks or later:
         bad += [f"antisymmetry fails on {xs[i]},{xs[j]}"
-                for i in at for j in positions(rows[i]) if j != i and has(j, i)]
+                for i in at for j in positions(rows[i] & ~(1 << i)) if rows[j] >> i & 1]
     return bad + later
 
 

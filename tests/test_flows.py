@@ -533,6 +533,16 @@ def test_function_from_flow_cancels_first():
     assert gmap == {0: 0, 1: 1, 2: 2}
 
 
+def test_function_from_flow_searches_no_cycle(monkeypatch):
+    # cancel_cycles leaves no cycle, so only the public entry searches
+    g = triangle()
+    with monkeypatch.context() as patched:
+        patched.setattr(flows, "_find_positive_cycle", lambda f: pytest.fail("searched"))
+        assert function_from_flow(g, [1, 1, 1], circulation(g)) == {0: 0, 1: 1, 2: 2}
+    with pytest.raises(InvalidFlow, match="cycle"):
+        decompose_flow_paths(g, circulation(g), [1, 1, 1])
+
+
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_flow_pipeline_properties(seed):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from itertools import compress
 
 import pytest
@@ -219,9 +220,9 @@ def byte_rows_tree_order_violations(order: VertexOrder) -> list[str]:
 
 @pytest.mark.parametrize("block", range(4))
 def test_tree_order_violations_matches_byte_rows(block):
-    # up to 30 elements, so down sets are kept both as position lists
-    # and as byte rows, and the search for antisymmetric pairs is both
-    # made and skipped: the same messages in the same order
+    # up to 30 elements, with down sets of every size from empty to the
+    # whole carrier, and the search for antisymmetric pairs both made
+    # and skipped: the same messages in the same order
     forests = 0
     for seed in range(1000 * block, 1000 * (block + 1)):
         order = random_relation(rng_for(seed, 98), seed % 3, size=30)
@@ -253,6 +254,19 @@ def test_tree_order_violations_work_bound():
     counted = VertexOrder(order.carrier, counting_leq, "partial")
     assert tree_order_violations(counted) == []
     assert calls <= size * size + size
+
+
+def test_tree_order_violations_memory_on_a_chain():
+    # down sets of 1..|F| elements: one bit, not one byte, per carrier
+    # element keeps the peak below |F|^2 / 2 bytes
+    order = edge_order(path_priority_tree(400))
+    tracemalloc.start()
+    try:
+        assert tree_order_violations(order) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 400 // 2
 
 
 # --- priority trees ----------------------------------------------------------
