@@ -166,7 +166,7 @@ def _cmd_flow_paths(args) -> list[str]:
     else:
         f = flows.compute_delta_flow(g, d, args.k)
     acyclic = flows.cancel_cycles(f)
-    family = flows.decompose_flow_paths(g, acyclic, d)
+    family = flows.decompose_flow_paths(g, acyclic, d, _acyclic=True)
     return [
         "path " + " ".join(g.vertex_labels[v] for v in path)
         for path in family.paths

@@ -31,6 +31,11 @@ from .errors import (
 )
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+
+
 def _check_label(label: str) -> str:
     if "#" in label or label.split() != [label]:  # split() splits where isspace() holds
         raise ParseError(f"bad label {label!r}")

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import UndirectedGraph, _content_lines, _vertex_ids
+from .core import UndirectedGraph, _check_k, _content_lines, _vertex_ids
 from .errors import (
     DuplicateLabel, InvalidFlow, NotSparseDistribution, ParseError, UndeclaredVertex,
 )
 from .maxflow import FlowNetwork
-from .sparsity import _check_k, _count_table, _first_max_excess_subset
 
 
 def border(g: UndirectedGraph, z) -> list[int]:
@@ -129,6 +128,7 @@ def is_k_sparse_distribution_bruteforce(
     ``is_k_sparse_distribution`` names, found as the first maximum in
     numeric mask order.
     """
+    from .sparsity import _count_table, _first_max_excess_subset
     _check_k(k)
     n, m = g.num_vertices, len(g.edges)
     total = sum(d)
@@ -156,14 +156,14 @@ def is_k_sparse_distribution_bruteforce(
 
 def _solve_delta_network(g: UndirectedGraph, d, k: int):
     """Build and solve the auxiliary network: source 0, sink 1, vertex v
-    at node 2+v, its source arc 2v and its sink arc 2(n+v).
+    at node 2+v, its source arc 2v and its sink arc 2(n+v), and each
+    edge u < v as one arc u -> v with capacity k each way.
 
     Arcs are inserted in increasing id order, so the flow found is
-    deterministic.  Returns the solved network, the per-edge arc indices
-    for both directions, and the witness: None when the maximum flow
-    saturates every source arc, otherwise the vertices on the source
-    side of the least minimum cut, a set that violates sparsity and the
-    same for every maximum flow."""
+    deterministic.  Returns the solved network, the arc of each edge
+    and the witness: None when the maximum flow saturates every source
+    arc, otherwise the source side of the least minimum cut, a vertex
+    set that violates sparsity and is the same for every maximum flow."""
     net = FlowNetwork(2 + g.num_vertices)
     target = 0
     for v in g.vertices():
@@ -172,47 +172,46 @@ def _solve_delta_network(g: UndirectedGraph, d, k: int):
         target += cap
     for v in g.vertices():
         net.add_edge(2 + v, 1, 1 if d[v] == 0 else 0)
-    forward = []
-    backward = []
-    for u, v in g.edges:
-        forward.append(net.add_edge(2 + u, 2 + v, k))
-        backward.append(net.add_edge(2 + v, 2 + u, k))
+    arcs = [net.add_edge(2 + u, 2 + v, k, k) for u, v in g.edges]
     if net.max_flow(0, 1) == target:
-        return net, forward, backward, None
+        return net, arcs, None
     side = net.source_side(0)
     witness = sorted(v for v in g.vertices() if 2 + v in side)
     assert witness
     assert distribution_sum(d, witness) > len(witness) + k * len(
         border(g, witness)
     )
-    return net, forward, backward, witness
+    return net, arcs, witness
 
 
 def _route_increment(net: FlowNetwork, d, v: int) -> bool:
     """Turn a maximum flow of d's solved network that saturates every
-    source arc into one of d + 1_v's, with at most one augmenting search;
-    False, changing no capacity, when d + 1_v's network has none."""
+    source arc into one of d + 1_v's; False, changing no capacity, when
+    d + 1_v's network has none.  At d(v) = 0 v's sink arc closes and a
+    unit it carried goes back to the source: v's source arc carries -1.
+    One more unit of residual on that arc, the only one out of the
+    source, lets max_flow add 0 or 1."""
     cap = net.cap
-    if d[v] >= 1:
-        cap[2 * v] += 1
-        if net.augment_unit(0, 1):
-            return True
-        cap[2 * v] -= 1
-        return False
     sink_arc = 2 * (len(d) + v)
-    carried = cap[sink_arc + 1]
-    cap[sink_arc] = cap[sink_arc + 1] = 0
-    if carried and not net.augment_unit(2 + v, 1):
-        cap[sink_arc + 1] = carried
-        return False
-    return True
+    saved = cap[2 * v], cap[2 * v + 1], cap[sink_arc + 1]
+    if d[v] == 0:
+        if not cap[sink_arc + 1]:
+            cap[sink_arc] = 0
+            return True
+        cap[2 * v + 1] -= 1
+        cap[sink_arc + 1] = 0
+    cap[2 * v] += 1
+    if net.max_flow(0, 1):
+        return True
+    cap[2 * v], cap[2 * v + 1], cap[sink_arc + 1] = saved
+    return False
 
 
 def is_k_sparse_distribution(g: UndirectedGraph, d, k: int):
     """Flow-based sparsity check with a violating set from the min cut;
     one max-flow solve of the delta network."""
     _check_k(k)
-    witness = _solve_delta_network(g, d, k)[3]
+    witness = _solve_delta_network(g, d, k)[2]
     return witness is None, witness
 
 
@@ -222,12 +221,12 @@ def compute_delta_flow(g: UndirectedGraph, d, k: int) -> Flow:
     The sparsity decision and the flow come from one max-flow solve of
     the delta network."""
     _check_k(k)
-    net, forward, backward, witness = _solve_delta_network(g, d, k)
+    net, arcs, witness = _solve_delta_network(g, d, k)
     if witness is not None:
         raise NotSparseDistribution(
             f"distribution is not {k}-sparse", witness=witness
         )
-    values = (net.flow_on(a) - net.flow_on(b) for a, b in zip(forward, backward))
+    values = (net.flow_on(a) - k for a in arcs)
     f = Flow._from_valid(g, {edge: val for edge, val in zip(g.edges, values) if val})
     assert check_delta_flow(f, d)
     edge_bound, vertex_bound = bounds(f)

@@ -136,14 +136,14 @@ def random_sparse_distribution(
     One delta network serves the whole call.  Each accepted d is
     k-sparse, so the network holds a maximum flow that saturates every
     source arc, and d + 1_v is k-sparse exactly when one more unit can
-    be routed, which ``flows._route_increment`` decides with at most one
-    augmenting search:
+    be routed, which ``flows._route_increment`` decides with one
+    ``max_flow`` call:
     - d(v) >= 1 raises v's source arc by one.
-    - d(v) = 0 closes v's sink arc.  A unit on it must reach the sink
-      from v by another path.  If none exists, the nodes reachable from
-      v hold the source, which sent the unit, and every arc leaving them
-      is saturated: a cut one unit below the source arcs' capacity, so a
-      fresh solve rejects too.
+    - d(v) = 0 closes v's sink arc.  A unit on it goes back to the
+      source and must reach the sink through v by another path.  If
+      none exists, every arc leaving the nodes reachable from the
+      source is saturated: a cut one unit below the source arcs'
+      capacity, so a fresh solve rejects too.
     A rejected increment changes no capacity."""
     n = g.num_vertices
     d = [0] * n

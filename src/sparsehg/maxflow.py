@@ -23,19 +23,21 @@ class FlowNetwork:
         self.to: list[int] = []
         self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, capacity: int) -> int:
-        """Directed arc u -> v; returns the arc index for flow queries."""
+    def add_edge(self, u: int, v: int, capacity: int, reverse: int = 0) -> int:
+        """Arc u -> v whose reverse arc v -> u starts with capacity
+        ``reverse``; returns the arc index for flow queries."""
         index = len(self.to)
         self.adj[u].append(index)
         self.to.append(v)
         self.cap.append(capacity)
         self.adj[v].append(index + 1)
         self.to.append(u)
-        self.cap.append(0)
+        self.cap.append(reverse)
         return index
 
     def flow_on(self, arc_index: int) -> int:
-        """Units pushed through the arc (its reverse arc's residual)."""
+        """The reverse arc's residual: ``reverse`` plus the units pushed
+        through the arc."""
         return self.cap[arc_index + 1]
 
     def max_flow(self, source: int, sink: int) -> int:
@@ -47,27 +49,6 @@ class FlowNetwork:
             if level[sink] < 0:
                 return total
             total += self._blocking_flow(source, sink, level)
-
-    def augment_unit(self, source: int, sink: int) -> bool:
-        """Push one unit along a shortest residual source-sink path.
-        Returns False, and changes no capacity, when there is none."""
-        adj, to, cap = self.adj, self.to, self.cap
-        into = {source: -1}  # node -> residual arc that first reached it
-        queue = [source]
-        for u in queue:
-            for a in adj[u]:
-                if cap[a] > 0 and to[a] not in into:
-                    v = to[a]
-                    into[v] = a
-                    if v == sink:
-                        while v != source:
-                            a = into[v]
-                            cap[a] -= 1
-                            cap[a ^ 1] += 1
-                            v = to[a ^ 1]
-                        return True
-                    queue.append(v)
-        return False
 
     def _levels(self, source: int, sink: int | None) -> list[int]:
         """Breadth-first distances from the source over residual arcs,

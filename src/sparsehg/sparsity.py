@@ -12,7 +12,7 @@ import heapq
 from dataclasses import dataclass
 
 from .core import DirectedGraph, Hypergraph, Orientation, UndirectedGraph, preimage_counts
-from .core import directed_quotient
+from .core import _check_k, directed_quotient
 from .errors import (
     CapExceeded, MalformedPartition, NoHomomorphism, NotKSparse, RankTooSmall,
 )
@@ -24,11 +24,6 @@ class SparsityReport:
     is_sparse: bool
     k: int
     witness: list[int] | None  # violating vertex set when not sparse
-
-
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise ValueError("k must be a positive integer")
 
 
 def _edges_inside(h: Hypergraph, vertex_set) -> int:
@@ -143,7 +138,7 @@ def _solve_sparsity_network(h: Hypergraph, k: int):
                 cap[unit], cap[unit + 1], cap[arc], cap[arc + 1] = 0, 1, 0, 1
                 break
     for v in range(n):
-        cap[add_edge(2 + m + v, 1, k - load[v]) + 1] = load[v]
+        add_edge(2 + m + v, 1, k - load[v], load[v])
     if sum(load) + net.max_flow(0, 1) == m:
         return net, member_arcs, None
     side = net.source_side(0)

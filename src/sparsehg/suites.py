@@ -255,7 +255,7 @@ def _flow_pipeline_check(rng, g, d, k, circ_count):
         return "cycle canceling changed the defect"
     if _find_positive_cycle(cancelled) is not None:
         return "cycle survives canceling"
-    family = decompose_flow_paths(g, cancelled, d)
+    family = decompose_flow_paths(g, cancelled, d, _acyclic=True)
     if family.start_counts(size) != list(d):
         return "start counts do not match delta"
     gmap = function_from_flow(g, d, mixed)

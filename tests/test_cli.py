@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from sparsehg import sparsity, suites
+from sparsehg import flows, sparsity, suites
 from sparsehg.cli import run
 from sparsehg.maxflow import FlowNetwork
 from test_golden import GOLDEN, help_snapshot
@@ -343,6 +343,17 @@ def test_flow_paths_cancels_given_flow(files):
     )
     assert code == 0
     assert text == "path a\npath b\npath c\n"
+
+
+def test_flow_paths_searches_no_cycle_after_cancelling(monkeypatch):
+    # cancel_cycles leaves no cycle, so the decomposition looks for none
+    calls = []
+    search = flows._find_positive_cycle
+    monkeypatch.setattr(flows, "_find_positive_cycle", lambda f: calls.append(1) or search(f))
+    code, text = cli("flow", "paths", str(GOLDEN / "graph.hg"), "--dist",
+                     str(GOLDEN / "dist.txt"), "--flow", str(GOLDEN / "flow.txt"))
+    assert f"exit {code}\n{text}" == (GOLDEN / "expected" / "flow-paths-given.txt").read_text()
+    assert calls == []
 
 
 def test_flow_check_ok(files):

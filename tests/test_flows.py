@@ -298,7 +298,8 @@ def test_sparse_distribution_matches_fresh_solves(family, seeds):
 @pytest.mark.parametrize("seed", range(20))
 def test_route_increment_keeps_the_network_of_d(seed):
     # after every decision the residual capacities are those of d's
-    # network under a flow that saturates every source arc
+    # network under a flow that saturates every source arc, and a
+    # rejected increment leaves every capacity as it was
     g = generator_graph("connected", seed)
     n, k = g.num_vertices, 1 + seed % 3
     d = [0] * n
@@ -306,8 +307,11 @@ def test_route_increment_keeps_the_network_of_d(seed):
     rng = rng_for(seed, 73)
     for _ in range(2 * n):
         v = rng.randrange(n)
+        before = list(net.cap)
         if flows._route_increment(net, d, v):
             d[v] += 1
+        else:
+            assert net.cap == before
         for w in range(n):
             assert net.cap[2 * w : 2 * w + 2] == [0, max(0, d[w] - 1)]
             sink_arc = net.cap[2 * (n + w) : 2 * (n + w) + 2]
@@ -316,16 +320,24 @@ def test_route_increment_keeps_the_network_of_d(seed):
 
 @pytest.mark.parametrize("n", [10, 200])
 def test_sparse_distribution_solves_one_network(n, monkeypatch):
-    # one solve of the zero demands and one for the final assertion,
-    # whatever n
-    calls = []
-    solve = FlowNetwork.max_flow
+    # one network for the zero demands and one for the final assertion,
+    # whatever n; every later max_flow on the first routes one increment
+    # and adds at most one unit
+    networks, added = [], []
+    build, solve = FlowNetwork.__init__, FlowNetwork.max_flow
     monkeypatch.setattr(
-        FlowNetwork, "max_flow", lambda net, s, t: calls.append(1) or solve(net, s, t)
+        FlowNetwork, "__init__", lambda net, size: networks.append(net) or build(net, size)
+    )
+    monkeypatch.setattr(
+        FlowNetwork, "max_flow",
+        lambda net, s, t: added.append((net, solve(net, s, t))) or added[-1][1],
     )
     g = random_connected_graph(rng_for(7, n), n, n)
     random_sparse_distribution(rng_for(8, n), g, 2)
-    assert len(calls) == 2
+    assert len(networks) == 2
+    routing = [value for net, value in added[1:] if net is networks[0]]
+    assert len(routing) == len(added) - 2 > 0
+    assert all(value in (0, 1) for value in routing)
 
 
 # --- cycle cancelling ------------------------------------------------------------

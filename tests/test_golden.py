@@ -40,7 +40,7 @@ TABLE_CASES = ("sparsity-check-oracle", "sparsity-check-witness-oracle", "suite-
 _CLI = ["sparsehg", "sparsehg.cli", "sparsehg.core", "sparsehg.errors"]
 _DECIDE = ["sparsehg.maxflow", "sparsehg.sparsity"]
 _SPAN = ["sparsehg.spanning"]
-_FLOW = ["sparsehg.flows", *_DECIDE]
+_FLOW = ["sparsehg.flows", "sparsehg.maxflow"]
 GROUP_MODULES = {
     "sparsity": _CLI + _DECIDE,
     "orient": _CLI + _DECIDE,
@@ -48,8 +48,8 @@ GROUP_MODULES = {
     "order": _CLI + _SPAN,
     "flow": _CLI + _FLOW,
     "encode": _CLI + _FLOW + ["sparsehg.encoding"],
-    "suite": _CLI + _FLOW + _SPAN
-    + ["sparsehg.encoding", "sparsehg.generators", "sparsehg.suites"],
+    "suite": _CLI + _DECIDE + _SPAN
+    + ["sparsehg.encoding", "sparsehg.flows", "sparsehg.generators", "sparsehg.suites"],
 }
 
 # Replays (name, argv, expected report, numpy loaded after it, sparsehg
@@ -196,7 +196,7 @@ assert loaded() == ["sparsehg"], loaded()
 assert sparsehg.build_dfst is sys.modules["sparsehg.spanning"].build_dfst
 assert sparsehg.flows.bounds is sparsehg.bounds  # a module, as an attribute
 assert loaded() == ["sparsehg", *sorted(f"sparsehg.{m}" for m in (
-    "core", "errors", "flows", "maxflow", "sparsity", "spanning"))], loaded()
+    "core", "errors", "flows", "maxflow", "spanning"))], loaded()
 """
     result = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                             capture_output=True, text=True, timeout=120)
