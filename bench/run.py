@@ -219,6 +219,8 @@ def degree_graph(n):
 # name -> (input builder, operation on that input)
 CASES = {
     "is_k_sparse": (hypergraph, lambda h: sparsity.is_k_sparse(h, 4)),
+    # about 3n edges are never 1-sparse: the network and its witness
+    "is_k_sparse_k1": (hypergraph, lambda h: sparsity.is_k_sparse(h, 1)),
     "bounded_orientation": (hypergraph, lambda h: sparsity.bounded_orientation(h, 4)),
     "antisymmetric_orientation": (
         hypergraph,

@@ -202,8 +202,7 @@ def _cmd_encode_refine(args) -> list[str]:
 
 def _cmd_suite(args) -> list[str]:
     from . import suites
-    if args.n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {args.n}")
+    suites.check_n(args.n)
     sizes = suites.parse_sizes(args.sizes, args.name)
     return suites.run_suite(args.name, args.seed, args.n, sizes)
 

@@ -4,6 +4,12 @@ A hypergraph is k-sparse when every finite vertex set X spans at most
 k*|X| edges (edges entirely inside X).  Equivalently there is an
 orientation f with every preimage |f^-1(a)| bounded by k; the
 equivalence is constructive in both directions below.
+
+So a "sparse" verdict needs only some k-bounded orientation.
+``is_k_sparse`` and ``antisymmetric_orientation`` first try a greedy
+one, and build the sparsity network only when it fails, for a "not
+sparse" verdict and its witness; ``bounded_orientation`` always reads
+its orientation off the network.
 """
 
 from __future__ import annotations
@@ -147,11 +153,29 @@ def _solve_sparsity_network(h: Hypergraph, k: int):
     return net, member_arcs, witness
 
 
+def _greedy_orientation_fits(h: Hypergraph, k: int) -> bool:
+    """Whether a greedy orientation keeps every preimage within k: each
+    edge, fewest members first (then in id order), goes to its least
+    loaded member (ties to the earlier member).  True proves the input
+    k-sparse; False decides nothing."""
+    load = [0] * h.num_vertices
+    for members in sorted(h.edges, key=len):
+        v = min(members, key=load.__getitem__)
+        if load[v] == k:
+            return False
+        load[v] += 1
+    return True
+
+
 def is_k_sparse(h: Hypergraph, k: int) -> SparsityReport:
     """Polynomial sparsity decision: the hypergraph is k-sparse iff the
     maximum flow of the sparsity network routes all |E| units; when it
-    does not, the vertex side of the residual min cut violates sparsity."""
+    does not, the vertex side of the residual min cut violates sparsity.
+    A greedy k-bounded orientation settles "sparse" without the network,
+    which is built only when the greedy one fails."""
     _check_k(k)
+    if _greedy_orientation_fits(h, k):
+        return SparsityReport(True, k, None)
     witness = _solve_sparsity_network(h, k)[2]
     return SparsityReport(witness is None, k, witness)
 
@@ -191,15 +215,18 @@ def antisymmetric_orientation(h: Hypergraph, k: int) -> Orientation:
     Every arc of the quotient points to a vertex removed earlier, so the
     quotient is acyclic.  A lazy heap of (remaining degree, vertex)
     entries yields the removal order; an entry is stale once its vertex
-    is removed or its degree has dropped.
+    is removed or its degree has dropped.  Sparsity is settled as in
+    ``is_k_sparse``: the sparsity network is built only when a greedy
+    k-bounded orientation fails, and then gives the witness.
     """
     _check_k(k)
     m = h.rank()
     if m < 2:
         raise RankTooSmall(f"rank {m} < 2")
-    witness = _solve_sparsity_network(h, k)[2]
-    if witness is not None:
-        raise NotKSparse(f"not {k}-sparse", witness=witness)
+    if not _greedy_orientation_fits(h, k):
+        witness = _solve_sparsity_network(h, k)[2]
+        if witness is not None:
+            raise NotKSparse(f"not {k}-sparse", witness=witness)
     assignment: list[int | None] = [None] * h.num_edges
     degree = [len(es) for es in h.incident_edges]
     removed_at = [-1] * h.num_vertices

@@ -47,6 +47,18 @@ BRUTE_CAP = 20
 # at 2,000.
 SUITE_MAX_SIZE = 2000
 
+# Most instances per size a suite accepts.  The report holds one line
+# per case; at the default sizes --n 1000 took 40 s (lemmas) and 44 s
+# (oracle) for 24,002 lines, with a tracemalloc peak of 3.4 and 8.9 MiB.
+SUITE_MAX_N = 1000
+
+
+def check_n(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n}")
+    if n > SUITE_MAX_N:
+        raise CapExceeded(f"n {n} exceeds the suite ceiling {SUITE_MAX_N}")
+
 
 def parse_sizes(text, suite: str):
     if text is None:

@@ -384,6 +384,12 @@ def test_flow_check_invalid(files):
     assert text.startswith("ERROR InvalidFlow\n")
 
 
+# the sparse decisions that a greedy 1-bounded orientation settles with
+# no solve; SPLIT is 1-sparse but defeats it (e0 goes to a, e1 to c,
+# and then both members of e2 are full), so it takes the one solve
+SETTLED = {("sparsity", "check", "GRAPH", "--k", "1"), ("orient", "antisym", "GRAPH", "--k", "1")}
+
+
 @pytest.mark.parametrize(
     "argv,exit_code",
     [
@@ -396,11 +402,13 @@ def test_flow_check_invalid(files):
         (("orient", "bounded", "TRIPLE", "--k", "1"), 1),
         (("orient", "antisym", "GRAPH", "--k", "1"), 0),
         (("orient", "antisym", "TRIPLE", "--k", "1"), 1),
+        (("sparsity", "check", "SPLIT", "--k", "1"), 0),
+        (("orient", "antisym", "SPLIT", "--k", "1"), 0),
     ],
 )
 def test_one_max_flow_per_decision(files, monkeypatch, argv, exit_code):
     # the sparsity decision and the flow or orientation come from the
-    # same solve
+    # same solve, or from none when a greedy orientation settles it
     calls = []
     solve = FlowNetwork.max_flow
     monkeypatch.setattr(
@@ -412,10 +420,11 @@ def test_one_max_flow_per_decision(files, monkeypatch, argv, exit_code):
         "BAD": files("b.txt", "a 3\nb 3\n"),
         "SETS": files("s.txt", "a -> a\na,b -> a\n"),
         "TRIPLE": files("t.hg", TRIPLE),
+        "SPLIT": files("s.hg", "v a\nv b\nv c\nv d\ne e0 a b\ne e1 c d\ne e2 a c\n"),
     }
     code, _ = cli(*(paths.get(arg, arg) for arg in argv))
     assert code == exit_code
-    assert len(calls) == 1
+    assert len(calls) == (0 if argv in SETTLED else 1)
 
 
 # --- encodings ---------------------------------------------------------------------------
@@ -494,3 +503,17 @@ def test_suite_refuses_sizes_above_the_ceiling_before_any_work(name, monkeypatch
         1, f"ERROR CapExceeded\ndetail size {over} exceeds the suite ceiling 2000\n"
     )
     assert suites.parse_sizes(str(suites.SUITE_MAX_SIZE), name) == [2000]
+
+
+@pytest.mark.parametrize("name", ["oracle", "lemmas", "pipeline"])
+def test_suite_refuses_n_above_the_ceiling_before_any_work(name, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("suite started")
+
+    monkeypatch.setattr(suites, "run_suite", no_work)
+    monkeypatch.setattr(suites, "parse_sizes", no_work)
+    over = suites.SUITE_MAX_N + 1
+    assert cli("suite", name, "--n", str(over)) == (
+        1, f"ERROR CapExceeded\ndetail n {over} exceeds the suite ceiling 1000\n"
+    )
+    suites.check_n(suites.SUITE_MAX_N)

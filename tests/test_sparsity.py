@@ -235,6 +235,60 @@ def test_first_fit_plus_max_flow_matches_networkx(seed, monkeypatch):
     assert placed + added == nx.maximum_flow_value(g, 0, 1)
 
 
+def greedy_case(seed: int):
+    """A seeded hypergraph on 1-12 vertices with edges of 1-4 members and
+    a k from 1 to 3; the edge count runs up to about 1.5*k*n, so the
+    greedy orientation fits some sparse inputs and misses others."""
+    rng = rng_for(seed, 16)
+    n = rng.randrange(1, 13)
+    k = rng.randrange(1, 4)
+    h = random_hypergraph(rng, n, rng.randrange(1, 5), rng.randrange(0, 3 * k * n // 2 + 2))
+    return h, k
+
+
+@pytest.mark.parametrize("block", range(5))
+def test_greedy_orientation_certifies_only_sparse_inputs(block):
+    outcomes = set()
+    for seed in range(300 * block, 300 * (block + 1)):
+        h, k = greedy_case(seed)
+        fits = sparsity._greedy_orientation_fits(h, k)
+        sparse = is_k_sparse_bruteforce(h, k).is_sparse
+        assert sparse or not fits, seed
+        outcomes.add((fits, sparse))
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_greedy_orientation_misses_a_sparse_path():
+    # e0 goes to a and e1 to c, and then both members of e2 are full;
+    # e0 -> b, e1 -> d, e2 -> a is 1-bounded
+    h = Hypergraph(list("abcd"), [(0, 1), (2, 3), (0, 2)])
+    assert not sparsity._greedy_orientation_fits(h, 1)
+    assert is_k_sparse(h, 1) == sparsity.SparsityReport(True, 1, None)
+    assert antisymmetric_orientation(h, 1).assignment == (1, 2, 0)
+
+
+def sparsity_reports(h: Hypergraph, k: int):
+    """What the two greedy-first decisions report: the sparsity report,
+    and the antisymmetric orientation or the refusal with its witness."""
+    try:
+        orientation = ("orientation", antisymmetric_orientation(h, k).assignment)
+    except NotKSparse as exc:
+        orientation = ("NotKSparse", exc.witness)
+    except RankTooSmall:
+        orientation = ("RankTooSmall", None)
+    return is_k_sparse(h, k), orientation
+
+
+@pytest.mark.parametrize("block", range(5))
+def test_greedy_shortcut_keeps_every_report(block, monkeypatch):
+    cases = [greedy_case(seed) for seed in range(300 * block, 300 * (block + 1))]
+    cases += [first_fit_case(seed) for seed in range(300 * block, 300 * (block + 1))]
+    greedy_first = [sparsity_reports(h, k) for h, k in cases]
+    monkeypatch.setattr(sparsity, "_greedy_orientation_fits", lambda h, k: False)
+    assert [sparsity_reports(h, k) for h, k in cases] == greedy_first
+    assert {kind for _, (kind, _) in greedy_first} >= {"orientation", "NotKSparse"}
+
+
 def is_acyclic(g: DirectedGraph) -> bool:
     """Kahn's algorithm: every vertex leaves once its in-arcs are gone."""
     indegree = [len(g.in_neighbours[v]) for v in g.vertices()]
